@@ -9,6 +9,7 @@ desk-scale graphs, n up to roughly 10.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterator
 
@@ -168,15 +169,9 @@ def labeled_connected_count(n: int) -> int:
     for m in range(2, n + 1):
         s = total[m]
         for k in range(1, m):
-            s -= _comb(m - 1, k - 1) * conn[k] * total[m - k]
+            s -= math.comb(m - 1, k - 1) * conn[k] * total[m - k]
         conn[m] = s
     return conn[n]
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------

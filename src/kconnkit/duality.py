@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .graph_core import Graph, SizeGuardError, components, menger, min_separator_size
+from .graph_core import Graph, SizeGuardError, components, menger, reachable_mask
+from .graph_core import menger_count as min_separator_size  # equal by Menger's theorem
 from .kconn import MaxKConnResult, is_k_connected, max_k_connected_subset
 from .sepsys import TreeDecomposition, adhesion, validate_td
 
@@ -57,34 +58,26 @@ def _min_max_decomposition(
         best_val = math.inf
         best_struct: tuple | None = None
         ordered = sorted(comp)
-        region = interface | comp
         for size in range(1, len(ordered) + 1):
             for extra in combinations(ordered, size):
                 part = interface | frozenset(extra)
                 part_cost = cost(part)
                 if part_cost >= best_val:
                     continue
-                rest = sorted(region - part)
                 val = part_cost
                 children = []
                 feasible = True
-                if rest:
-                    sub, old = g.induced_subgraph(region)
-                    idx = {o: i for i, o in enumerate(old)}
-                    keep = [idx[v] for v in rest]
-                    inner, inner_old = sub.induced_subgraph(keep)
-                    for c in components(inner):
-                        child_comp = frozenset(old[inner_old[v]] for v in c)
-                        child_if = neighbourhood(child_comp) & part
-                        if len(child_if) >= k:
-                            feasible = False
-                            break
-                        child_val, child_struct = best_for(child_if, child_comp)
-                        val = max(val, child_val)
-                        children.append(child_struct)
-                        if val >= best_val:
-                            feasible = False
-                            break
+                for child_comp in components(g, comp - part):
+                    child_if = neighbourhood(child_comp) & part
+                    if len(child_if) >= k:
+                        feasible = False
+                        break
+                    child_val, child_struct = best_for(child_if, child_comp)
+                    val = max(val, child_val)
+                    children.append(child_struct)
+                    if val >= best_val:
+                        feasible = False
+                        break
                 if feasible and val < best_val:
                     best_val = val
                     best_struct = (part, tuple(children))
@@ -144,8 +137,6 @@ def tree_width(g: Graph, size_guard: int = 10) -> int:
 
     def elim_degree(xmask: int, v: int) -> int:
         # neighbours of v reachable through eliminated set xmask
-        from .graph_core import reachable_mask
-
         region = reachable_mask(masks, masks[v] & xmask, xmask)
         seen = masks[v] | region
         m = region

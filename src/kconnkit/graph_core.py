@@ -177,20 +177,18 @@ def reachable_mask(masks: Sequence[int], start: int, allowed: int) -> int:
     return comp
 
 
-def components(g: Graph) -> list[frozenset[int]]:
-    """Partition of the vertex set into maximal connected sets.
+def components(g: Graph, within: Iterable[int] | None = None) -> list[frozenset[int]]:
+    """Components of ``g[within]`` (all of ``g`` by default), in original ids.
 
     Components are ordered by their smallest vertex.
     """
     masks = g.adjacency_masks
-    full = (1 << g.n) - 1
-    seen = 0
+    allowed = (1 << g.n) - 1 if within is None else _mask_of(within)
+    rest = allowed
     out: list[frozenset[int]] = []
-    for start in range(g.n):
-        if (seen >> start) & 1:
-            continue
-        comp = reachable_mask(masks, 1 << start, full)
-        seen |= comp
+    while rest:
+        comp = reachable_mask(masks, rest & -rest, allowed)
+        rest &= ~comp
         out.append(frozenset(_bits(comp)))
     return out
 
@@ -324,8 +322,12 @@ def _run_flow(
 
     In weighted mode split arcs carry K for interior vertices and K+1 for
     vertices of ``a | b``, so the min cut is a minimum separator preferring
-    interior vertices among equally small ones.
+    interior vertices among equally small ones.  Every flow entry point
+    passes through here, so this is where vertex ids are range-checked.
     """
+    for v in fa | fb:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside graph")
     net = _flow_net(g)
     head = net.head
     out = net.out
@@ -440,9 +442,6 @@ def menger(
     """
     fa = frozenset(a)
     fb = frozenset(b)
-    for v in fa | fb:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside graph")
     count, cap, cap0 = _run_flow(g, fa, fb, limit)
     if limit is not None and count >= limit:
         return MengerResult(count, PathSystem(()), frozenset())
@@ -485,39 +484,6 @@ def _menger_count_cached(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> in
     if (len(fb), sorted(fb)) < (len(fa), sorted(fa)):
         fa, fb = fb, fa
     return _run_flow(g, fa, fb, None)[0]
-
-
-def min_separator_size(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
-    """Size of a minimum a-b separator, by direct subset enumeration.
-
-    Deliberately independent of the flow implementation so that Menger
-    duality is a real check.  ``a & b`` must lie in any separator, so only
-    the remainder is enumerated.  Exponential; guarded for desk scale.
-    """
-    fa = frozenset(a)
-    fb = frozenset(b)
-    forced = fa & fb
-    rest = sorted(g.vertex_set - forced)
-    masks = g.adjacency_masks
-    a_mask = _mask_of(fa)
-    b_mask = _mask_of(fb)
-    forced_mask = _mask_of(forced)
-    full = (1 << g.n) - 1
-
-    def separates(s_mask: int) -> bool:
-        allowed = full & ~s_mask
-        reach = reachable_mask(masks, a_mask & allowed, allowed)
-        return not (reach & b_mask & allowed)
-
-    checked = 0
-    for extra in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, extra):
-            checked += 1
-            if checked > 2_000_000:
-                raise SizeGuardError("min_separator_size: subset enumeration too large")
-            if separates(forced_mask | _mask_of(combo)):
-                return len(forced) + extra
-    raise AssertionError("unreachable: deleting every vertex always separates")
 
 
 def validate_path_system(

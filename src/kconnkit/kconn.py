@@ -34,12 +34,14 @@ class KConnVerdict:
 def is_k_connected(g: Graph, a: Iterable[int], k: int) -> KConnVerdict:
     """Decide whether ``a`` is k-connected in ``g``.
 
-    Requires ``len(a) >= k``.  On failure the verdict carries the first
+    Requires ``0 <= k <= len(a)``.  On failure the verdict carries the first
     violating pair together with a minimum separator smaller than the pair
     size.  Pairs with ``z1 == z2`` always have trivial witnesses and are
     skipped.
     """
     fa = frozenset(a)
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     if len(fa) < k:
         raise ValueError(f"set of size {len(fa)} cannot be {k}-connected (needs >= {k})")
     ordered = sorted(fa)
@@ -70,8 +72,11 @@ def max_k_connected_subset(g: Graph, a: Iterable[int], k: int) -> MaxKConnResult
     containing z1 and z2 fails for the same reason.  Among maximum witnesses
     the lexicographically least is returned.  If no subset of size >= k is
     k-connected the sentinel size ``k - 1`` is reported with no vertex set.
+    Requires ``k >= 0``.
     """
     fa = frozenset(a)
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     if k == 0:
         return MaxKConnResult(len(fa), fa)
     ordered = sorted(fa)
@@ -294,17 +299,11 @@ def largest_component_restriction(
     k-blocks of ``a``).
     """
     fa = frozenset(a)
-    fs = frozenset(s)
-    rest = g.vertex_set - fs
-    if not rest:
-        return frozenset()
-    sub, old = g.induced_subgraph(rest)
     best: frozenset[int] = frozenset()
     best_key = (-1, 0)
-    for comp in components(sub):
-        comp_old = frozenset(old[v] for v in comp)
-        inter = comp_old & fa
-        key = (len(inter), -min(comp_old))
+    for comp in components(g, g.vertex_set - frozenset(s)):
+        inter = comp & fa
+        key = (len(inter), -min(comp))
         if key > best_key:
             best_key = key
             best = inter

@@ -18,15 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .graph_core import Graph, components, menger, menger_count
-from .sepsys import (
-    NestedSeparationSystem,
-    TreeDecomposition,
-    consistent_orientations,
-    part_of,
-    validate_td,
-)
+from .sepsys import NestedSeparationSystem, TreeDecomposition, consistent_orientations, part_of
 
 
 @dataclass(frozen=True)
@@ -73,68 +68,27 @@ def _min_path_adhesion(td: TreeDecomposition, t1: int, t2: int) -> int | None:
     )
 
 
-def is_k_lean_td(g: Graph, td: TreeDecomposition, k: int):
-    """True, or the first violation in deterministic scan order.
+def _first_violation(
+    g: Graph,
+    parts: list[frozenset[int]],
+    k: int,
+    cut_order: Callable[[int, int], int | None],
+) -> LeanViolation | None:
+    """The first failed demand between parts ``i <= j``, in scan order.
 
-    Requires every adhesion set to have fewer than k vertices.
+    ``cut_order(i, j)`` is the smallest order of a separation the structure
+    offers between the two parts (None if it offers none); demands larger
+    than it are answered by that separation.
     """
-    for s in td.adhesion_sets():
-        if len(s) >= k:
-            raise ValueError(f"adhesion set {sorted(s)} has size >= k={k}")
-    nodes = range(td.tree.n)
-    for t1 in nodes:
-        p1 = sorted(td.parts[t1])
-        for t2 in nodes:
-            if t2 < t1:
-                continue
-            p2 = sorted(td.parts[t2])
-            min_adh = _min_path_adhesion(td, t1, t2)
-            top = min(k, len(p1), len(p2))
-            for ell in range(1, top + 1):
-                if min_adh is not None and min_adh < ell:
-                    break  # an edge on the path induces a small separation
-                for z1 in itertools.combinations(p1, ell):
-                    for z2 in itertools.combinations(p2, ell):
-                        if z1 == z2 or (t1 == t2 and z2 < z1):
-                            continue
-                        fz1, fz2 = frozenset(z1), frozenset(z2)
-                        got = menger_count(g, fz1, fz2)
-                        if got < ell:
-                            return LeanViolation(t1, t2, fz1, fz2, got)
-    return True
-
-
-def is_k_lean_nss(n: NestedSeparationSystem, k: int):
-    """k-leanness for a nested separation system, over orientation parts.
-
-    The empty system is k-lean exactly when the whole vertex set satisfies
-    every demand up to min(k, n), which the general scan covers via its one
-    (empty) orientation.
-    """
-    for s in n.seps:
-        if s.order >= k:
-            raise ValueError(f"member of order {s.order} >= k={k}")
-    orients = consistent_orientations(n)
-    parts = [part_of(n, o) for o in orients]
-    g = n.graph
-
-    def min_sep_between(i: int, j: int) -> int | None:
-        best = None
-        for s in n.seps:
-            if parts[i] <= s.a and parts[j] <= s.b:
-                if best is None or s.order < best:
-                    best = s.order
-        return best
-
-    for i in range(len(parts)):
-        p1 = sorted(parts[i])
+    for i, part_i in enumerate(parts):
+        p1 = sorted(part_i)
         for j in range(i, len(parts)):
             p2 = sorted(parts[j])
-            min_adh = min_sep_between(i, j)
+            min_adh = cut_order(i, j)
             top = min(k, len(p1), len(p2))
             for ell in range(1, top + 1):
                 if min_adh is not None and min_adh < ell:
-                    break
+                    break  # a small separation answers this and larger demands
                 for z1 in itertools.combinations(p1, ell):
                     for z2 in itertools.combinations(p2, ell):
                         if z1 == z2 or (i == j and z2 < z1):
@@ -143,7 +97,45 @@ def is_k_lean_nss(n: NestedSeparationSystem, k: int):
                         got = menger_count(g, fz1, fz2)
                         if got < ell:
                             return LeanViolation(i, j, fz1, fz2, got)
-    return True
+    return None
+
+
+def is_k_lean_td(g: Graph, td: TreeDecomposition, k: int):
+    """True, or the first violation in deterministic scan order.
+
+    Requires every adhesion set to have fewer than k vertices.
+    """
+    for s in td.adhesion_sets():
+        if len(s) >= k:
+            raise ValueError(f"adhesion set {sorted(s)} has size >= k={k}")
+    violation = _first_violation(
+        g, list(td.parts), k, lambda t1, t2: _min_path_adhesion(td, t1, t2)
+    )
+    return True if violation is None else violation
+
+
+def is_k_lean_nss(n: NestedSeparationSystem, k: int):
+    """k-leanness for a nested separation system, over orientation parts.
+
+    The empty system is k-lean exactly when the whole vertex set satisfies
+    every demand up to min(k, n), which the general scan covers via its one
+    (empty) orientation.  The scan runs on the orientation parts directly
+    rather than through :func:`nss_to_td`, which rejects systems with a
+    separation onto the whole vertex set.
+    """
+    for s in n.seps:
+        if s.order >= k:
+            raise ValueError(f"member of order {s.order} >= k={k}")
+    parts = [part_of(n, o) for o in consistent_orientations(n)]
+
+    def min_sep_between(i: int, j: int) -> int | None:
+        return min(
+            (s.order for s in n.seps if parts[i] <= s.a and parts[j] <= s.b),
+            default=None,
+        )
+
+    violation = _first_violation(n.graph, parts, k, min_sep_between)
+    return True if violation is None else violation
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +166,7 @@ def _split_on_violation(
     x = res.separator
     # orient the separation so that z1 lies in the a-side
     side_a = set(x)
-    for comp in _components_without(g, x):
+    for comp in components(g, g.vertex_set - x):
         if comp & (v.z1 - x):
             side_a |= comp
     a = frozenset(side_a)
@@ -197,14 +189,6 @@ def _split_on_violation(
     new_edges += [(u + n_old, w + n_old) for u, w in td.tree.sorted_edges()]
     new_edges.append((v.t2, v.t1 + n_old))
     return new_parts, new_edges
-
-
-def _components_without(g: Graph, x: frozenset[int]) -> list[frozenset[int]]:
-    keep = sorted(g.vertex_set - x)
-    if not keep:
-        return []
-    sub, old = g.induced_subgraph(keep)
-    return [frozenset(old[v] for v in comp) for comp in components(sub)]
 
 
 def _endpoint_paths(

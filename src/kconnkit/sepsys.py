@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .graph_core import Graph, Separation, components, is_separation
+from .graph_core import (
+    Graph,
+    Separation,
+    components,
+    graph_from_json,
+    graph_to_json,
+    is_separation,
+)
 
 
 def is_nested_pair(s1: Separation, s2: Separation) -> bool:
@@ -54,8 +61,6 @@ class NestedSeparationSystem:
         return tuple(out)
 
     def to_json(self) -> dict:
-        from .graph_core import graph_to_json
-
         return {
             "graph": graph_to_json(self.graph),
             "separations": [s.to_json() for s in sorted(self.seps, key=Separation.sort_key)],
@@ -63,8 +68,6 @@ class NestedSeparationSystem:
 
     @staticmethod
     def from_json(obj: dict) -> "NestedSeparationSystem":
-        from .graph_core import graph_from_json
-
         g = graph_from_json(obj["graph"])
         seps = set()
         for so in obj["separations"]:
@@ -138,10 +141,6 @@ def part_of(n: NestedSeparationSystem, o: Orientation) -> frozenset[int]:
     return part
 
 
-def adhesion_of_nss(n: NestedSeparationSystem) -> int:
-    return max((s.order for s in n.seps), default=0)
-
-
 # ---------------------------------------------------------------------------
 # Tree-decompositions
 
@@ -157,15 +156,10 @@ class TreeDecomposition:
         if len(self.parts) != self.tree.n:
             raise ValueError("one part per tree node required")
 
-    def part(self, t: int) -> frozenset[int]:
-        return self.parts[t]
-
     def adhesion_sets(self) -> list[frozenset[int]]:
         return [self.parts[u] & self.parts[v] for u, v in self.tree.sorted_edges()]
 
     def to_json(self) -> dict:
-        from .graph_core import graph_to_json
-
         return {
             "tree": graph_to_json(self.tree),
             "parts": [sorted(p) for p in self.parts],
@@ -173,8 +167,6 @@ class TreeDecomposition:
 
     @staticmethod
     def from_json(obj: dict) -> "TreeDecomposition":
-        from .graph_core import graph_from_json
-
         return TreeDecomposition(
             graph_from_json(obj["tree"]), tuple(frozenset(p) for p in obj["parts"])
         )
@@ -212,7 +204,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> bool:
 def adhesion(x: NestedSeparationSystem | TreeDecomposition) -> int:
     """Largest separator or adhesion-set size; 0 when there is none."""
     if isinstance(x, NestedSeparationSystem):
-        return adhesion_of_nss(x)
+        return max((s.order for s in x.seps), default=0)
     return max((len(s) for s in x.adhesion_sets()), default=0)
 
 
@@ -288,12 +280,7 @@ def clean_up(n: NestedSeparationSystem) -> NestedSeparationSystem:
     full = g.vertex_set
     out: set[Separation] = set()
     for sep_set in {s.separator for s in n.seps}:
-        keep = full - sep_set
-        if not keep:
-            continue
-        sub, old = g.induced_subgraph(keep)
-        for comp in components(sub):
-            c = frozenset(old[v] for v in comp)
+        for c in components(g, full - sep_set):
             nbhd = frozenset().union(*(g.neighbors(v) for v in c)) - c
             a = c | nbhd
             if a == full:

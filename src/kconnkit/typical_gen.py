@@ -12,10 +12,10 @@ ordered core, never through raw ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Mapping
 
-from .graph_core import Graph
+from .graph_core import Graph, graph_from_json, graph_to_json
 from .kconn import is_k_connected
 
 # ---------------------------------------------------------------------------
@@ -55,28 +55,6 @@ class Role:
         if self.kind not in _ROLE_KINDS:
             raise ValueError(f"unknown role kind {self.kind!r}")
 
-    def __str__(self) -> str:
-        args = [x for x in (self.node, self.index) if x is not None]
-        if not args:
-            return self.kind
-        return f"{self.kind}({','.join(str(x) for x in args)})"
-
-    @staticmethod
-    def from_str(s: str) -> "Role":
-        if "(" not in s:
-            return Role(s)
-        kind, rest = s.split("(", 1)
-        args = [int(x) for x in rest.rstrip(")").split(",") if x != ""]
-        if len(args) == 2:
-            return Role(kind, node=args[0], index=args[1])
-        if len(args) == 1:
-            # a lone argument is the block index for core roles, the node
-            # for everything else
-            if kind == "core":
-                return Role(kind, index=args[0])
-            return Role(kind, node=args[0])
-        return Role(kind)
-
 
 @dataclass(frozen=True, eq=False)
 class CoreMarkedGraph:
@@ -110,12 +88,10 @@ class CoreMarkedGraph:
         return [v for v in self.core if (self.roles[v].index or 0) < cutoff]
 
     def to_json(self) -> dict:
-        from .graph_core import graph_to_json
-
         out = {
             "graph": graph_to_json(self.graph),
             "core": list(self.core),
-            "roles": {str(v): str(r) for v, r in sorted(self.roles.items())},
+            "roles": {str(v): asdict(r) for v, r in sorted(self.roles.items())},
         }
         if self.parent is not None:
             out["parent"] = self.parent.to_json()
@@ -124,8 +100,6 @@ class CoreMarkedGraph:
 
     @staticmethod
     def from_json(obj: dict) -> "CoreMarkedGraph":
-        from .graph_core import graph_from_json
-
         parent = None
         parent_map = None
         if "parent" in obj:
@@ -134,7 +108,7 @@ class CoreMarkedGraph:
         return CoreMarkedGraph(
             graph=graph_from_json(obj["graph"]),
             core=tuple(obj["core"]),
-            roles={int(v): Role.from_str(r) for v, r in obj["roles"].items()},
+            roles={int(v): Role(**r) for v, r in obj["roles"].items()},
             parent=parent,
             parent_map=parent_map,
         )
@@ -439,29 +413,17 @@ def two_bipartite_matched(m: int) -> CoreMarkedGraph:
 # Blow-ups
 
 
-def blow_up(g: Graph, v: int, t: Graph, gamma: Mapping[int, int]) -> Graph:
-    """Replace ``v`` by a copy of the tree ``t``, reattaching each former
-    neighbour w at the copy of ``gamma[w]``."""
-    return blow_up_with_maps(g, v, t, gamma)[0]
-
-
-def blow_up_with_maps(
-    g: Graph, v: int, t: Graph, gamma: Mapping[int, int]
-) -> tuple[Graph, dict[int, int], dict[int, int]]:
-    """As :func:`blow_up`, also returning the survivor and copy id maps."""
-    graph, survivors, copies = apply_blowups(g, {v: (t, dict(gamma))})
-    return graph, survivors, copies[v]
-
-
 def apply_blowups(
     g: Graph, blowups: Mapping[int, tuple[Graph, Mapping[int, int]]]
 ) -> tuple[Graph, dict[int, int], dict[int, dict[int, int]]]:
-    """Apply a set of blow-ups at once.
+    """Replace each ``v`` of ``blowups`` by a copy of its tree ``t``,
+    reattaching each former neighbour w at the copy of ``gamma[w]``.
 
-    The result does not depend on any ordering: an edge between two blown-up
-    vertices attaches at the copy prescribed by each endpoint's own map.
-    Survivors are numbered first in ascending id, then the copies grouped by
-    blown-up vertex.
+    Returns the graph, the survivor id map and, per blown-up vertex, the
+    copy id map of its tree nodes.  The result does not depend on any
+    ordering: an edge between two blown-up vertices attaches at the copy
+    prescribed by each endpoint's own map.  Survivors are numbered first in
+    ascending id, then the copies grouped by blown-up vertex.
     """
     for v, (t, gamma) in blowups.items():
         if not 0 <= v < g.n:

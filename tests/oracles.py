@@ -84,6 +84,23 @@ def brute_is_separator(g: Graph, s: frozenset[int], a, b) -> bool:
     return True
 
 
+def min_separator_size(g: Graph, a, b) -> int:
+    """Size of a minimum a-b separator, by direct subset enumeration.
+
+    Reference for the flow-based ``menger_count``: ``a & b`` lies in every
+    separator, so only subsets of the remaining vertices are tried, smallest
+    first.  Exponential; meant for graphs of at most about ten vertices.
+    """
+    fa, fb = frozenset(a), frozenset(b)
+    forced = fa & fb
+    rest = sorted(set(g.vertices) - forced)
+    for extra in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, extra):
+            if brute_is_separator(g, forced | frozenset(combo), fa, fb):
+                return len(forced) + extra
+    raise AssertionError("unreachable: deleting every vertex always separates")
+
+
 def random_graph(rng, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)

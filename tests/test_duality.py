@@ -17,11 +17,10 @@ from kconnkit.graph_core import (
     SizeGuardError,
     complete_bipartite_graph,
     complete_graph,
-    min_separator_size,
     path_graph,
 )
 from kconnkit.sepsys import TreeDecomposition, validate_td
-from oracles import random_connected_graph
+from oracles import min_separator_size, random_connected_graph
 
 
 def grid_graph(rows: int, cols: int) -> Graph:

@@ -17,11 +17,11 @@ from kconnkit.graph_core import (
     is_separation,
     menger,
     menger_count,
-    min_separator_size,
     path_graph,
     validate_path_system,
 )
-from oracles import brute_is_separator, brute_max_disjoint_paths, random_graph
+from kconnkit.canon import connected_graphs
+from oracles import brute_is_separator, brute_max_disjoint_paths, min_separator_size, random_graph
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -49,6 +49,17 @@ def test_components_triangle():
 def test_components_two_disjoint_edges():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert components(g) == [frozenset({0, 1}), frozenset({2, 3})]
+
+
+def test_components_within_matches_induced_subgraph():
+    rng = random.Random(6)
+    for g in connected_graphs(6):
+        subsets = [set(), set(g.vertices)]
+        subsets += [{v for v in g.vertices if rng.random() < 0.5} for _ in range(4)]
+        for keep in subsets:
+            sub, old = g.induced_subgraph(keep)
+            expected = [frozenset(old[v] for v in c) for c in components(sub)]
+            assert components(g, keep) == expected
 
 
 def test_menger_complete_bipartite_sides():
@@ -80,6 +91,17 @@ def test_menger_empty_sides():
     g = path_graph(3)
     assert menger(g, set(), {0}).count == 0
     assert menger(g, set(), set()).count == 0
+
+
+def test_flow_rejects_out_of_range_vertices():
+    g = path_graph(4)
+    for bad in (-1, g.n):
+        with pytest.raises(ValueError):
+            menger_count(g, {0}, {bad})
+        with pytest.raises(ValueError):
+            menger_count(g, {bad}, {0})
+        with pytest.raises(ValueError):
+            menger(g, {0}, {bad})
 
 
 def test_menger_matches_brute_force_on_seeded_instances():

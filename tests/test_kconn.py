@@ -12,6 +12,7 @@ from kconnkit.graph_core import (
     path_graph,
 )
 from kconnkit.kconn import (
+    MaxKConnResult,
     PathWitness,
     StarWitness,
     is_k_connected,
@@ -65,6 +66,17 @@ def test_one_connected_means_same_component():
 def test_is_k_connected_requires_big_enough_set():
     with pytest.raises(ValueError):
         is_k_connected(path_graph(4), {0, 1}, 3)
+
+
+def test_negative_k_is_rejected():
+    g = path_graph(4)
+    a = frozenset({0, 1, 2})
+    with pytest.raises(ValueError):
+        is_k_connected(g, a, -1)
+    with pytest.raises(ValueError):
+        max_k_connected_subset(g, a, -1)
+    assert is_k_connected(g, a, 0).ok
+    assert max_k_connected_subset(g, a, 0) == MaxKConnResult(3, a)
 
 
 def test_is_k_connected_matches_brute_force_exhaustively_small():

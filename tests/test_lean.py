@@ -3,13 +3,15 @@ import random
 import pytest
 
 from kconnkit.canon import connected_graphs
-from kconnkit.graph_core import Graph, complete_graph, path_graph
+from kconnkit.graph_core import Graph, Separation, complete_graph, path_graph
 from kconnkit.kconn import is_k_connected
 from kconnkit.lean import LeanViolation, build_k_lean_td, is_k_lean_nss, is_k_lean_td
 from kconnkit.sepsys import (
     NestedSeparationSystem,
     TreeDecomposition,
     adhesion,
+    nss_from_separations,
+    nss_to_td,
     td_to_nss,
     validate_td,
 )
@@ -57,12 +59,22 @@ def test_empty_system_leanness():
 
 def test_nss_checker_rejects_large_orders():
     g = path_graph(4)
-    from kconnkit.sepsys import nss_from_separations
-    from kconnkit.graph_core import Separation
-
     n = nss_from_separations(g, [Separation.of({0, 1, 2}, {1, 2, 3})])
     with pytest.raises(ValueError):
         is_k_lean_nss(n, 2)
+
+
+def test_nss_checker_keeps_improper_members():
+    # A separation onto the whole vertex set makes nss_to_td refuse the
+    # system; the checker still scans its orientation parts.
+    g = path_graph(4)
+    improper = Separation.of({0, 1, 2, 3}, {0})
+    n = nss_from_separations(g, [improper, Separation.of({0, 1}, {1, 2, 3})])
+    with pytest.raises(ValueError):
+        nss_to_td(n)
+    assert is_k_lean_nss(n, 2) == LeanViolation(0, 0, frozenset({1, 2}), frozenset({2, 3}), 1)
+    lean = nss_from_separations(complete_graph(4), [Separation.of({0, 1, 2, 3}, {0, 1})])
+    assert is_k_lean_nss(lean, 3) is True
 
 
 def test_build_complete_graph_single_part():

@@ -1,10 +1,14 @@
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kconnkit.canon import is_isomorphic
-from kconnkit.graph_core import Graph, complete_bipartite_graph, path_graph
+from kconnkit.graph_core import Graph, Separation, complete_bipartite_graph, path_graph
 from kconnkit.kconn import is_k_connected
+from kconnkit.sepsys import NestedSeparationSystem, TreeDecomposition, nss_to_td
 from kconnkit.typical_gen import (
     CoreMarkedGraph,
     GoodSequence,
@@ -15,9 +19,8 @@ from kconnkit.typical_gen import (
     Type1Template,
     Type2Template,
     Type3Template,
+    _ROLE_KINDS,
     apply_blowups,
-    blow_up,
-    blow_up_with_maps,
     gen_complete_bipartite,
     gen_degenerate_frayed,
     gen_generalised,
@@ -30,7 +33,7 @@ from kconnkit.typical_gen import (
     interior_core_cutoff,
     two_bipartite_matched,
 )
-from oracles import random_graph
+from oracles import random_connected_graph, random_graph, random_nested_system
 
 # Fixture recipes: a path c-a-b-d with the far leaf contracted, and the
 # glued seven-family on the same path.
@@ -230,14 +233,14 @@ def test_blow_up_single_node_is_isomorphic():
     rng = random.Random(5)
     g = random_graph(rng, 6, p=0.5)
     t = Graph.from_edges(1)
-    out = blow_up(g, 2, t, {u: 0 for u in g.neighbors(2)})
+    out, _, _ = apply_blowups(g, {2: (t, {u: 0 for u in g.neighbors(2)})})
     assert is_isomorphic(out, g)
 
 
 def test_blow_up_star_centre_into_edge():
     g = complete_bipartite_graph(1, 3)  # centre 0, leaves 1..3
     t = Graph.from_edges(2, [(0, 1)])
-    out = blow_up(g, 0, t, {1: 0, 2: 0, 3: 1})
+    out, _, _ = apply_blowups(g, {0: (t, {1: 0, 2: 0, 3: 1})})
     expected = Graph.from_edges(5, [(0, 3), (1, 3), (3, 4), (2, 4)])
     assert is_isomorphic(out, expected)
     assert out.is_tree()
@@ -246,18 +249,19 @@ def test_blow_up_star_centre_into_edge():
 def test_blow_up_requires_total_gamma():
     g = path_graph(3)
     with pytest.raises(ValueError):
-        blow_up(g, 1, Graph.from_edges(1), {0: 0})
+        apply_blowups(g, {1: (Graph.from_edges(1), {0: 0})})
 
 
 def _sequential(g, v, tv, gv, w, tw, gw):
-    g1, surv, cop = blow_up_with_maps(g, v, tv, gv)
+    g1, surv, copies = apply_blowups(g, {v: (tv, gv)})
+    cop = copies[v]
     gw2 = {}
     for x, node in gw.items():
         if x == v:
             gw2[cop[gv[w]]] = node
         else:
             gw2[surv[x]] = node
-    return blow_up(g1, surv[w], tw, gw2)
+    return apply_blowups(g1, {surv[w]: (tw, gw2)})[0]
 
 
 def test_blow_up_commutes():
@@ -339,20 +343,49 @@ def test_gen_generalised_dispatch():
 # roles and serialization
 
 
-def test_role_string_round_trip():
-    roles = [
-        Role("core"),
-        Role("core", index=2),
-        Role("core", node=1, index=4),
-        Role("layer", node=2, index=5),
-        Role("finite_side", node=1, index=0),
-        Role("degenerate", node=0),
-        Role("dominating", node=3),
-        Role("blown_up", node=7),
-        Role("matched", node=2),
-    ]
-    for r in roles:
-        assert Role.from_str(str(r)) == r
+SLOTS = [None] + list(range(10))
+ALL_ROLES = [Role(*args) for args in itertools.product(_ROLE_KINDS, SLOTS, SLOTS)]
+# Regression inputs: a "kind(args)" string encoding cannot tell the first
+# two apart from Role("core", index=3) and Role("layer", node=2).
+CODEC_CASES = [
+    Role("core", node=3),
+    Role("layer", index=2),
+    Role("core"),
+    Role("core", index=2),
+    Role("core", node=1, index=4),
+    Role("layer", node=2, index=5),
+    Role("finite_side", node=1, index=0),
+    Role("degenerate", node=0),
+    Role("dominating", node=3),
+    Role("blown_up", node=7),
+    Role("matched", node=2),
+]
+roles_strategy = st.builds(
+    Role, st.sampled_from(_ROLE_KINDS), st.sampled_from(SLOTS), st.sampled_from(SLOTS)
+)
+
+
+def _through_json(obj: dict) -> dict:
+    return json.loads(json.dumps(obj))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(roles_strategy, min_size=1, max_size=12), st.integers(0, 10_000))
+@example(CODEC_CASES, 0)
+@example(ALL_ROLES, 1)
+def test_json_round_trips_are_exact(roles, seed):
+    cmg = CoreMarkedGraph(Graph.from_edges(len(roles)), (0,), dict(enumerate(roles)))
+    back = CoreMarkedGraph.from_json(_through_json(cmg.to_json()))
+    assert (back.graph, back.core, back.roles) == (cmg.graph, cmg.core, cmg.roles)
+
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, rng.randint(1, 7))
+    nss = random_nested_system(rng, g, allow_improper=rng.random() < 0.5)
+    assert NestedSeparationSystem.from_json(_through_json(nss.to_json())) == nss
+    for s in nss.seps:
+        assert Separation.from_json(_through_json(s.to_json())) == s
+    td = nss_to_td(random_nested_system(rng, g))
+    assert TreeDecomposition.from_json(_through_json(td.to_json())) == td
 
 
 def test_cmg_json_round_trip_with_parent():
