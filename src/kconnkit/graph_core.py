@@ -100,7 +100,7 @@ class Graph:
         Returns the new graph together with ``old_ids`` where ``old_ids[new]``
         is the original vertex id.
         """
-        old_ids = tuple(sorted(set(keep)))
+        old_ids = tuple(sorted(check_vertices(self, keep)))
         index = {old: new for new, old in enumerate(old_ids)}
         edges = [
             (index[u], index[v]) for u, v in self.edges if u in index and v in index
@@ -154,6 +154,15 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def check_vertices(g: Graph, vs: Iterable[int]) -> frozenset[int]:
+    """``vs`` as a frozenset, or ``ValueError`` naming a vertex outside ``g``."""
+    fs = frozenset(vs)
+    for v in fs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside graph")
+    return fs
+
+
 def _mask_of(vs: Iterable[int]) -> int:
     m = 0
     for v in vs:
@@ -183,7 +192,7 @@ def components(g: Graph, within: Iterable[int] | None = None) -> list[frozenset[
     Components are ordered by their smallest vertex.
     """
     masks = g.adjacency_masks
-    allowed = (1 << g.n) - 1 if within is None else _mask_of(within)
+    allowed = (1 << g.n) - 1 if within is None else _mask_of(check_vertices(g, within))
     rest = allowed
     out: list[frozenset[int]] = []
     while rest:
@@ -325,9 +334,7 @@ def _run_flow(
     interior vertices among equally small ones.  Every flow entry point
     passes through here, so this is where vertex ids are range-checked.
     """
-    for v in fa | fb:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside graph")
+    check_vertices(g, fa | fb)
     net = _flow_net(g)
     head = net.head
     out = net.out
@@ -447,11 +454,19 @@ def menger(
         return MengerResult(count, PathSystem(()), frozenset())
 
     paths = _extract_paths(g, fa, fb, count, cap, cap0)
+    separator = _min_separator(g, fa, fb)
+    if len(separator) != count:
+        raise AssertionError("mincut size does not match maxflow")
+    return MengerResult(count, paths, separator)
 
-    # Separator from a weighted flow whose min cut consists of split arcs
-    # only and, among minimum separators, prefers interior vertices.  The
-    # virtual source reaches every a_in node, so those seed the residual
-    # reachability.
+
+def _min_separator(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> frozenset[int]:
+    """The minimum a-b separator that :func:`menger` reports.
+
+    It comes from a weighted flow whose min cut consists of split arcs only
+    and, among minimum separators, prefers interior vertices.  The virtual
+    source reaches every a_in node, so those seed the residual reachability.
+    """
     _, wcap, _ = _run_flow(g, fa, fb, None, weighted=True)
     net = _flow_net(g)
     reach = 0
@@ -466,12 +481,9 @@ def menger(
             if wcap[e] > 0 and not (reach >> v) & 1:
                 reach |= 1 << v
                 stack.append(v)
-    separator = frozenset(
+    return frozenset(
         v for v in range(g.n) if (reach >> (2 * v)) & 1 and not (reach >> (2 * v + 1)) & 1
     )
-    if len(separator) != count:
-        raise AssertionError("mincut size does not match maxflow")
-    return MengerResult(count, paths, separator)
 
 
 def menger_count(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:

@@ -1,18 +1,35 @@
 """Deciding and searching k-connected sets.
 
 A set ``a`` is k-connected in ``g`` when every two subsets of equal size
-``l <= k`` are joined by ``l`` pairwise vertex-disjoint paths.  Subset pairs
-are enumerated ascending in ``l`` and lexicographically, with the first
-failure returned, so negative verdicts are reproducible.
+``l <= k`` are joined by ``l`` pairwise vertex-disjoint paths.  By Menger's
+theorem two l-sets fail exactly when a separation (C, D) of order s < l has
+them on its two sides, so ``a`` is k-connected iff no separation of order
+s < k has more than s vertices of ``a`` on each side.
+
+:func:`is_k_connected` decides this either by that separation criterion,
+enumerating every separator of fewer than k vertices, or by running a flow
+for every pair of subsets; it picks whichever a cost estimate from
+``len(a)``, ``g.n`` and ``k`` says is cheaper.  Both give the same verdict
+and the same witness: subset pairs are ranked ascending in ``l`` and then
+lexicographically, and a negative verdict names the first failing pair.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph_core import Graph, components, menger, menger_count
+from .graph_core import (
+    Graph,
+    _min_separator,
+    check_vertices,
+    components,
+    menger,
+    menger_count,
+    reachable_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -31,31 +48,84 @@ class KConnVerdict:
         return self.ok
 
 
+# The weight of one separator visit against one subset-pair flow.  Timing
+# both scans on random connected graphs (n = 10..40, p = 0.1..0.4,
+# |a| = 4..10, k = 2..4), every weight from 0.015 to 0.02 picked the cheaper
+# scan on all 90 measured shapes (BENCH_3.json, "crossover").
+_SCAN_PER_FLOW = 0.02
+
+
 def is_k_connected(g: Graph, a: Iterable[int], k: int) -> KConnVerdict:
     """Decide whether ``a`` is k-connected in ``g``.
 
-    Requires ``0 <= k <= len(a)``.  On failure the verdict carries the first
-    violating pair together with a minimum separator smaller than the pair
-    size.  Pairs with ``z1 == z2`` always have trivial witnesses and are
-    skipped.
+    Requires ``0 <= k <= len(a)`` and every vertex of ``a`` in ``g``.  On
+    failure the verdict carries the first violating pair -- smallest pair
+    size ``l``, then lexicographically least -- together with a minimum
+    separator smaller than ``l``.  Pairs with ``z1 == z2`` always have
+    trivial witnesses and are skipped.
+
+    The pair scan runs a flow for each of about ``sum C(len(a), l)**2 / 2``
+    pairs.  The separator scan visits the ``sum_{s<k} C(g.n, s)`` sets S of
+    fewer than k vertices and looks for a separation of order s = len(S)
+    with more than s vertices of ``a`` on each side.  When it is the cheaper
+    of the two it decides a positive verdict alone; on a negative one its
+    smallest violating s fixes the first failing pair size ``l = s + 1``,
+    and the pair scan runs at that size only.
     """
-    fa = frozenset(a)
+    fa = check_vertices(g, a)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if len(fa) < k:
         raise ValueError(f"set of size {len(fa)} cannot be {k}-connected (needs >= {k})")
+    sizes: Iterable[int] = range(1, k + 1)
+    pair_cost = sum(math.comb(len(fa), ell) ** 2 for ell in sizes) / 2
+    scan_cost = _SCAN_PER_FLOW * sum(math.comb(g.n, s) for s in range(k))
+    if scan_cost < pair_cost:
+        s = _smallest_violating_order(g, fa, k)
+        if s is None:
+            return KConnVerdict(True)
+        sizes = (s + 1,)
     ordered = sorted(fa)
-    for ell in range(1, min(k, len(fa)) + 1):
-        subsets = list(itertools.combinations(ordered, ell))
+    for ell in sizes:
+        subsets = [frozenset(z) for z in itertools.combinations(ordered, ell)]
         for i, z1 in enumerate(subsets):
             for z2 in subsets[i + 1 :]:
-                if menger_count(g, frozenset(z1), frozenset(z2)) >= ell:
-                    continue
-                res = menger(g, z1, z2)
-                return KConnVerdict(
-                    False, KConnWitness(frozenset(z1), frozenset(z2), res.separator)
-                )
+                if menger_count(g, z1, z2) < ell:
+                    return KConnVerdict(False, KConnWitness(z1, z2, _min_separator(g, z1, z2)))
     return KConnVerdict(True)
+
+
+def _smallest_violating_order(g: Graph, fa: frozenset[int], k: int) -> int | None:
+    """Least s < k such that some separation of order s has more than s
+    vertices of ``fa`` on each side, or ``None``.
+
+    For each separator S the components of ``g - S`` that meet ``fa`` are
+    grouped into two sides; each side also holds ``fa & S``.  A subset sum
+    over the components' counts of ``fa`` tells whether some grouping gives
+    both sides more than s.
+    """
+    masks = g.adjacency_masks
+    full = (1 << g.n) - 1
+    amask = sum(1 << v for v in fa)
+    bits = [1 << v for v in range(g.n)]
+    for s in range(k):
+        for sep in itertools.combinations(bits, s):
+            smask = sum(sep)
+            rest = amask & ~smask
+            total = rest.bit_count()
+            # each side needs `need` vertices of fa outside S
+            need = s + 1 - (len(fa) - total)
+            if total < 2 * need:
+                continue
+            allowed = full & ~smask
+            sums = 1
+            while rest:
+                comp = reachable_mask(masks, rest & -rest, allowed)
+                rest &= ~comp
+                sums |= sums << (comp & amask).bit_count()
+            if (sums >> need) & ((1 << (total - 2 * need + 1)) - 1):
+                return s
+    return None
 
 
 @dataclass(frozen=True)
@@ -74,7 +144,7 @@ def max_k_connected_subset(g: Graph, a: Iterable[int], k: int) -> MaxKConnResult
     k-connected the sentinel size ``k - 1`` is reported with no vertex set.
     Requires ``k >= 0``.
     """
-    fa = frozenset(a)
+    fa = check_vertices(g, a)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if k == 0:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 
-from kconnkit.graph_core import Graph
+from kconnkit.graph_core import Graph, menger, menger_count
+from kconnkit.kconn import KConnVerdict, KConnWitness
 
 
 def all_ab_paths(g: Graph, a: frozenset[int], b: frozenset[int]) -> list[tuple[int, ...]]:
@@ -99,6 +100,29 @@ def min_separator_size(g: Graph, a, b) -> int:
             if brute_is_separator(g, forced | frozenset(combo), fa, fb):
                 return len(forced) + extra
     raise AssertionError("unreachable: deleting every vertex always separates")
+
+
+def pair_scan_is_k_connected(g: Graph, a, k: int) -> KConnVerdict:
+    """``is_k_connected`` by a flow for every pair of l-subsets, l <= k.
+
+    The reference for the separator scan: pairs are tried ascending in l,
+    then lexicographically, and the first failing one is the witness.  Unlike
+    the oracles above it runs the library's flows, which are themselves
+    cross-checked against ``brute_max_disjoint_paths`` and
+    ``min_separator_size``.
+    """
+    ordered = sorted(a)
+    for ell in range(1, min(k, len(ordered)) + 1):
+        subsets = list(itertools.combinations(ordered, ell))
+        for i, z1 in enumerate(subsets):
+            for z2 in subsets[i + 1 :]:
+                if menger_count(g, frozenset(z1), frozenset(z2)) >= ell:
+                    continue
+                res = menger(g, z1, z2)
+                return KConnVerdict(
+                    False, KConnWitness(frozenset(z1), frozenset(z2), res.separator)
+                )
+    return KConnVerdict(True)
 
 
 def random_graph(rng, n: int, p: float = 0.4) -> Graph:

@@ -62,6 +62,16 @@ def test_components_within_matches_induced_subgraph():
             assert components(g, keep) == expected
 
 
+def test_vertex_arguments_outside_the_graph_are_rejected():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="vertex (-1|5) outside"):
+        g.induced_subgraph([-1, 5])
+    with pytest.raises(ValueError, match="vertex -1 outside"):
+        components(g, [-1])
+    with pytest.raises(ValueError, match="vertex 5 outside"):
+        components(g, [5])
+
+
 def test_menger_complete_bipartite_sides():
     g = complete_bipartite_graph(3, 3)
     res = menger(g, {0, 1, 2}, {3, 4, 5})

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import math
 import random
 
 import pytest
 
+from kconnkit import graph_core, kconn
 from kconnkit.canon import connected_graphs
 from kconnkit.graph_core import (
     Graph,
@@ -21,7 +23,12 @@ from kconnkit.kconn import (
     max_k_connected_subset,
     star_or_path,
 )
-from oracles import brute_is_separator, brute_max_disjoint_paths, random_connected_graph
+from oracles import (
+    brute_is_separator,
+    brute_max_disjoint_paths,
+    pair_scan_is_k_connected,
+    random_connected_graph,
+)
 
 
 def brute_is_k_connected(g: Graph, a, k: int) -> bool:
@@ -39,9 +46,65 @@ def test_complete_bipartite_core_is_k_connected():
     g = complete_bipartite_graph(4, 10)
     core = set(range(4, 14))
     assert is_k_connected(g, core, 4).ok
-    # the whole vertex set is 4-connected too (smaller host, cheaper check)
+    # the whole vertex set is 4-connected too, but not 5-connected
+    assert is_k_connected(g, g.vertex_set, 4).ok
+    assert not is_k_connected(g, g.vertex_set, 5).ok
     small = complete_bipartite_graph(4, 6)
     assert is_k_connected(small, small.vertex_set, 4).ok
+
+
+def test_is_k_connected_matches_pair_scan(monkeypatch):
+    """Same verdict and witness as the pair scan, on hosts where the cost
+    estimate picks the separator scan and on hosts where it picks the pairs."""
+    scans = []
+    real_scan = kconn._smallest_violating_order
+
+    def counting_scan(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(kconn, "_smallest_violating_order", counting_scan)
+    rng = random.Random(3262)
+    cases = []
+    for g in connected_graphs(6):
+        cases.append((g, g.vertex_set))
+        cases.append((g, frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))))
+    # large sparse hosts with small sets, where the pair scan is cheaper
+    for _ in range(12):
+        g = random_connected_graph(rng, rng.randint(25, 40), rng.choice((0.02, 0.08)))
+        cases.append((g, frozenset(rng.sample(range(g.n), rng.randint(3, 5)))))
+    seen = collections.Counter()  # (separator scan ran, verdict)
+    for g, a in cases:
+        for k in range(len(a) + 1):
+            before = len(scans)
+            got = is_k_connected(g, a, k)
+            assert got == pair_scan_is_k_connected(g, a, k), (g, a, k)
+            seen[len(scans) > before, got.ok] += 1
+    assert len(seen) == 4, seen
+
+
+def test_vertices_outside_the_graph_are_rejected():
+    g = path_graph(3)
+    for a, k, bad in (({0, 5}, 1, "5"), ({0, 1, 5}, 2, "5"), ({-1, 0}, 1, "-1")):
+        with pytest.raises(ValueError, match=f"vertex {bad} outside"):
+            is_k_connected(g, a, k)
+        with pytest.raises(ValueError, match=f"vertex {bad} outside"):
+            max_k_connected_subset(g, a, k)
+
+
+def test_failing_pair_flow_runs_once(monkeypatch):
+    runs = []
+    real_run_flow = graph_core._run_flow
+
+    def counting_run_flow(g, fa, fb, limit, weighted=False):
+        runs.append((fa, fb, weighted))
+        return real_run_flow(g, fa, fb, limit, weighted)
+
+    monkeypatch.setattr(graph_core, "_run_flow", counting_run_flow)
+    graph_core._menger_count_cached.cache_clear()
+    verdict = is_k_connected(path_graph(4), {0, 1, 2, 3}, 2)
+    assert (verdict.witness.z1, verdict.witness.z2) == (frozenset({0, 1}), frozenset({1, 2}))
+    assert runs.count((frozenset({0, 1}), frozenset({1, 2}), False)) == 1
 
 
 def test_path_is_not_2_connected_with_deterministic_witness():
