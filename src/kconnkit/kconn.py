@@ -1,17 +1,17 @@
 """Deciding and searching k-connected sets.
 
 A set ``a`` is k-connected in ``g`` when every two subsets of equal size
-``l <= k`` are joined by ``l`` pairwise vertex-disjoint paths.  By Menger's
-theorem two l-sets fail exactly when a separation (C, D) of order s < l has
-them on its two sides, so ``a`` is k-connected iff no separation of order
-s < k has more than s vertices of ``a`` on each side.
+``l <= k`` are joined by ``l`` pairwise vertex-disjoint paths; a k-lean
+decomposition (:mod:`kconnkit.lean`) asks the same of l-subsets of two parts
+``p1`` and ``p2``.  By Menger's theorem no such pair with ``l <= top`` fails
+iff no separation (C, D) of order s < top has more than s vertices of ``p1``
+in C and more than s of ``p2`` in D.
 
-:func:`is_k_connected` decides this either by that separation criterion,
-enumerating every separator of fewer than k vertices, or by running a flow
-for every pair of subsets; it picks whichever a cost estimate from
-``len(a)``, ``g.n`` and ``k`` says is cheaper.  Both give the same verdict
-and the same witness: subset pairs are ranked ascending in ``l`` and then
-lexicographically, and a negative verdict names the first failing pair.
+:func:`first_failed_pair`, the one demand scan of the package, decides this
+either by enumerating every separator of fewer than ``top`` vertices or by
+running a flow for every pair of subsets, whichever a cost estimate says is
+cheaper.  Both return the first failing pair, ranked ascending in ``l`` and
+then lexicographically.
 """
 
 from __future__ import annotations
@@ -63,67 +63,87 @@ def is_k_connected(g: Graph, a: Iterable[int], k: int) -> KConnVerdict:
     size ``l``, then lexicographically least -- together with a minimum
     separator smaller than ``l``.  Pairs with ``z1 == z2`` always have
     trivial witnesses and are skipped.
-
-    The pair scan runs a flow for each of about ``sum C(len(a), l)**2 / 2``
-    pairs.  The separator scan visits the ``sum_{s<k} C(g.n, s)`` sets S of
-    fewer than k vertices and looks for a separation of order s = len(S)
-    with more than s vertices of ``a`` on each side.  When it is the cheaper
-    of the two it decides a positive verdict alone; on a negative one its
-    smallest violating s fixes the first failing pair size ``l = s + 1``,
-    and the pair scan runs at that size only.
     """
     fa = check_vertices(g, a)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if len(fa) < k:
         raise ValueError(f"set of size {len(fa)} cannot be {k}-connected (needs >= {k})")
-    sizes: Iterable[int] = range(1, k + 1)
-    pair_cost = sum(math.comb(len(fa), ell) ** 2 for ell in sizes) / 2
-    scan_cost = _SCAN_PER_FLOW * sum(math.comb(g.n, s) for s in range(k))
-    if scan_cost < pair_cost:
-        s = _smallest_violating_order(g, fa, k)
+    failed = first_failed_pair(g, fa, fa, k)
+    if failed is None:
+        return KConnVerdict(True)
+    z1, z2, _ = failed
+    return KConnVerdict(False, KConnWitness(z1, z2, _min_separator(g, z1, z2)))
+
+
+def first_failed_pair(
+    g: Graph, p1: frozenset[int], p2: frozenset[int], top: int
+) -> tuple[frozenset[int], frozenset[int], int] | None:
+    """The first ``(z1, z2, paths)`` with ``z1 <= p1``, ``z2 <= p2``, ``z1 !=
+    z2``, ``len(z1) == len(z2) = l <= top`` and only ``paths < l`` disjoint
+    z1-z2 paths, or ``None``.  When ``p1 == p2`` only pairs with ``z1 < z2``
+    are scanned.  Every vertex must lie in ``g``.  The pair scan runs about
+    ``sum C(len(p1), l) * C(len(p2), l)`` flows; the separator scan visits
+    ``sum_{s<top} C(g.n, s)`` sets, and its smallest violating order s
+    leaves only the pairs of size ``s + 1`` to scan.
+    """
+    same = p1 == p2
+    top = min(top, len(p1), len(p2))
+    sizes: Iterable[int] = range(1, top + 1)
+    pairs = sum(math.comb(len(p1), ell) * math.comb(len(p2), ell) for ell in sizes)
+    if _SCAN_PER_FLOW * sum(math.comb(g.n, s) for s in range(top)) < pairs / (2 if same else 1):
+        s = _smallest_violating_order(g, p1, p2, top)
         if s is None:
-            return KConnVerdict(True)
+            return None
         sizes = (s + 1,)
-    ordered = sorted(fa)
     for ell in sizes:
-        subsets = [frozenset(z) for z in itertools.combinations(ordered, ell)]
-        for i, z1 in enumerate(subsets):
-            for z2 in subsets[i + 1 :]:
-                if menger_count(g, z1, z2) < ell:
-                    return KConnVerdict(False, KConnWitness(z1, z2, _min_separator(g, z1, z2)))
-    return KConnVerdict(True)
+        left = [frozenset(z) for z in itertools.combinations(sorted(p1), ell)]
+        right = left if same else [frozenset(z) for z in itertools.combinations(sorted(p2), ell)]
+        for i, z1 in enumerate(left):
+            for z2 in right[i + 1 :] if same else right:
+                if z1 != z2 and (paths := menger_count(g, z1, z2)) < ell:
+                    return z1, z2, paths
+    return None
 
 
-def _smallest_violating_order(g: Graph, fa: frozenset[int], k: int) -> int | None:
-    """Least s < k such that some separation of order s has more than s
-    vertices of ``fa`` on each side, or ``None``.
+def _smallest_violating_order(
+    g: Graph, p1: frozenset[int], p2: frozenset[int], top: int
+) -> int | None:
+    """Least s < top such that a separation (C, D) of order s has more than s
+    vertices of ``p1`` in C and more than s of ``p2`` in D, or ``None``.
 
-    For each separator S the components of ``g - S`` that meet ``fa`` are
-    grouped into two sides; each side also holds ``fa & S``.  A subset sum
-    over the components' counts of ``fa`` tells whether some grouping gives
-    both sides more than s.
+    For each separator S a subset sum groups the components of ``g - S`` that
+    meet ``p1 | p2``.  A component with ``c1`` vertices of ``p1`` and ``c2``
+    of ``p2`` shifts its bitset by ``c1 * w + c2``, ``w = len(p2 - S) + 1``,
+    so bit ``a * w + b`` is a side C with ``a`` and ``b`` of them outside S.
     """
     masks = g.adjacency_masks
     full = (1 << g.n) - 1
-    amask = sum(1 << v for v in fa)
+    m1 = sum(1 << v for v in p1)
+    m2 = sum(1 << v for v in p2)
+    both = m1 | m2
     bits = [1 << v for v in range(g.n)]
-    for s in range(k):
+    for s in range(top):
         for sep in itertools.combinations(bits, s):
             smask = sum(sep)
-            rest = amask & ~smask
-            total = rest.bit_count()
-            # each side needs `need` vertices of fa outside S
-            need = s + 1 - (len(fa) - total)
-            if total < 2 * need:
+            rest = both & ~smask
+            # C needs need1 vertices of p1 outside S, D needs need2 of p2
+            need1 = s + 1 - (m1 & smask).bit_count()
+            need2 = s + 1 - (m2 & smask).bit_count()
+            if rest.bit_count() < need1 + need2:
                 continue
             allowed = full & ~smask
+            if not rest & ~reachable_mask(masks, rest & -rest, allowed):
+                continue  # one component: the other side has no vertex outside S
+            w = len(p2) - s + need2  # len(p2 - S) + 1
             sums = 1
             while rest:
                 comp = reachable_mask(masks, rest & -rest, allowed)
                 rest &= ~comp
-                sums |= sums << (comp & amask).bit_count()
-            if (sums >> need) & ((1 << (total - 2 * need + 1)) - 1):
+                sums |= sums << ((comp & m1).bit_count() * w + (comp & m2).bit_count())
+            # a side C with a >= need1 (the shift) leaving D need2 (the low bits)
+            fields = ((1 << w * (len(p1) - s)) - 1) // ((1 << w) - 1)
+            if (sums >> need1 * w) & fields * ((1 << (len(p2) - s)) - 1):
                 return s
     return None
 
@@ -192,7 +212,7 @@ def star_or_path(
     settles existence, so ``None`` really means neither structure exists.
     Success is guaranteed for ``len(u) >= m ** m``.
     """
-    fu = frozenset(u)
+    fu = check_vertices(g, u)
     if not fu:
         raise ValueError("u must be non-empty")
     comp = next(c for c in components(g) if next(iter(fu)) in c)
@@ -368,10 +388,10 @@ def largest_component_restriction(
     ``ceil((len(a) // k - 1) / k)`` vertices (pigeonhole over disjoint
     k-blocks of ``a``).
     """
-    fa = frozenset(a)
+    fa = check_vertices(g, a)
     best: frozenset[int] = frozenset()
     best_key = (-1, 0)
-    for comp in components(g, g.vertex_set - frozenset(s)):
+    for comp in components(g, g.vertex_set - check_vertices(g, s)):
         inter = comp & fa
         key = (len(inter), -min(comp))
         if key > best_key:
@@ -393,8 +413,7 @@ def kconn_after_deletion(
         raise ValueError("k must be at least 1")
     if not is_k_connected(g, fa, k).ok:
         raise ValueError("a is not k-connected in g")
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside graph")
+    check_vertices(g, (v,))
     sub, old = g.induced_subgraph(g.vertex_set - {v})
     idx = {o: i for i, o in enumerate(old)}
     res = max_k_connected_subset(sub, {idx[w] for w in fa if w != v}, k - 1)

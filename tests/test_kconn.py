@@ -92,6 +92,18 @@ def test_vertices_outside_the_graph_are_rejected():
             max_k_connected_subset(g, a, k)
 
 
+def test_other_entry_points_reject_vertices_outside_the_graph():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="vertex 5 outside"):
+        largest_component_restriction(g, {0, 5}, {7})
+    with pytest.raises(ValueError, match="vertex 7 outside"):
+        largest_component_restriction(g, {0, 1}, {7})
+    with pytest.raises(ValueError, match="vertex 5 outside"):
+        star_or_path(g, {5}, 1)
+    with pytest.raises(ValueError, match="vertex 5 outside"):
+        kconn_after_deletion(g, {0, 1}, 1, 5)
+
+
 def test_failing_pair_flow_runs_once(monkeypatch):
     runs = []
     real_run_flow = graph_core._run_flow

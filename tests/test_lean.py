@@ -1,21 +1,31 @@
+import collections
+import functools
 import random
 
 import pytest
 
+from kconnkit import kconn, lean
 from kconnkit.canon import connected_graphs
-from kconnkit.graph_core import Graph, Separation, complete_graph, path_graph
+from kconnkit.graph_core import Graph, Separation, complete_graph, menger, path_graph
 from kconnkit.kconn import is_k_connected
 from kconnkit.lean import LeanViolation, build_k_lean_td, is_k_lean_nss, is_k_lean_td
 from kconnkit.sepsys import (
     NestedSeparationSystem,
     TreeDecomposition,
     adhesion,
+    consistent_orientations,
     nss_from_separations,
     nss_to_td,
+    part_of,
     td_to_nss,
     validate_td,
 )
-from oracles import brute_is_separator, random_connected_graph
+from oracles import (
+    brute_is_separator,
+    pair_scan_first_violation,
+    random_connected_graph,
+    random_nested_system,
+)
 
 
 def test_single_part_complete_graph_is_lean():
@@ -143,8 +153,96 @@ def test_violation_witness_is_sound():
         if verdict is True:
             continue
         found += 1
-        from kconnkit.graph_core import menger
-
         res = menger(g, verdict.z1, verdict.z2)
         assert res.count == verdict.max_paths < len(verdict.z1)
         assert brute_is_separator(g, res.separator, verdict.z1, verdict.z2)
+
+
+def test_part_vertices_outside_the_graph_are_rejected():
+    g = complete_graph(12)
+    td = TreeDecomposition(Graph.from_edges(1), (frozenset(range(12)) | {15},))
+    with pytest.raises(ValueError, match="vertex 15 outside"):
+        is_k_lean_td(g, td, 3)
+
+
+def _sparse_part_decompositions(rng):
+    """Large sparse hosts with a path of small overlapping parts, so that the
+    demand kernel picks the pair scan for some part pairs."""
+    for _ in range(12):
+        g = random_connected_graph(rng, rng.randint(36, 44), rng.choice((0.0, 0.02, 0.1)))
+        verts = rng.sample(range(g.n), 12)
+        parts, start = [], 0
+        while start + 3 <= len(verts):
+            size = rng.choice((3, 4))
+            parts.append(frozenset(verts[start : start + size]))
+            start += size - rng.choice((1, 2))
+        tree = Graph.from_edges(len(parts), [(t, t + 1) for t in range(len(parts) - 1)])
+        for k in (3, 4):
+            yield g, TreeDecomposition(tree, tuple(parts)), k
+        yield g, TreeDecomposition(Graph.from_edges(1), (parts[0],)), 3
+
+
+def test_lean_checkers_match_pair_scan(monkeypatch):
+    """Same verdict and violation as a flow for every demand, with both cost
+    branches of the demand kernel, both answers and cross-part violations."""
+    scans = []
+    real_scan = kconn._smallest_violating_order
+    real_kernel = lean.first_failed_pair
+    seen = collections.Counter()  # (separator scan ran, a demand failed)
+
+    def counting_scan(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    def counting_kernel(*args):
+        before = len(scans)
+        got = real_kernel(*args)
+        seen[len(scans) > before, got is not None] += 1
+        return got
+
+    monkeypatch.setattr(kconn, "_smallest_violating_order", counting_scan)
+    monkeypatch.setattr(lean, "first_failed_pair", counting_kernel)
+    cross = 0
+
+    def check(g, parts, k, cut_order, got):
+        nonlocal cross
+        expected = pair_scan_first_violation(g, parts, k, cut_order)
+        assert got == (True if expected is None else expected), (g, parts, k)
+        cross += got is not True and got.t1 != got.t2
+
+    def check_td(g, td, k):
+        cut_order = functools.partial(lean._min_path_adhesion, td)
+        check(g, list(td.parts), k, cut_order, is_k_lean_td(g, td, k))
+
+    rng = random.Random(2764)
+    for g in connected_graphs(6):
+        for k in range(1, 5):
+            check_td(g, TreeDecomposition(Graph.from_edges(1), (g.vertex_set,)), k)
+    for _ in range(8):
+        g = random_connected_graph(rng, rng.randint(7, 11), rng.choice((0.2, 0.35)))
+        td = build_k_lean_td(g, rng.choice((2, 3)))
+        for k in range(max(map(len, td.adhesion_sets()), default=0) + 1, 5):
+            check_td(g, td, k)
+    for g, td, k in _sparse_part_decompositions(rng):
+        check_td(g, td, k)
+    for _ in range(250):
+        g = random_connected_graph(rng, rng.randint(5, 9), rng.choice((0.2, 0.35, 0.5)))
+        n = random_nested_system(rng, g, allow_improper=True)
+        parts = [part_of(n, o) for o in consistent_orientations(n)]
+
+        def cut_order(i, j):
+            return min(
+                (s.order for s in n.seps if parts[i] <= s.a and parts[j] <= s.b), default=None
+            )
+
+        for k in range(max((s.order for s in n.seps), default=0) + 1, 5):
+            check(g, parts, k, cut_order, is_k_lean_nss(n, k))
+    assert len(seen) == 4, seen
+    assert cross > 0
+
+
+def test_build_matches_pair_scan_builder(monkeypatch):
+    cases = [(g, k) for g in connected_graphs(6) for k in range(1, 5)]
+    built = [build_k_lean_td(g, k) for g, k in cases]
+    monkeypatch.setattr(lean, "_first_violation", pair_scan_first_violation)
+    assert built == [build_k_lean_td(g, k) for g, k in cases]
