@@ -2,8 +2,17 @@
 
 The canonical labelling is a small refine-and-branch scheme (colour
 refinement, then individualise vertices of the first non-trivial cell and
-take the lexicographically least adjacency key).  It is exact and meant for
-desk-scale graphs, n up to roughly 10.
+take the lexicographically least adjacency key).  It is exact.
+
+Twin pruning: the search skips a vertex v of the target cell when a vertex
+u tried before it is a twin, N(u) - {v} == N(v) - {u}.  The swap (u v) is
+then an automorphism that fixes every individualised vertex, and refinement
+is equivariant, so it maps u's subtree onto v's with the same keys.  The
+first leaf with the least key lies in u's subtree, so the returned
+permutation is the one the unpruned search returns, not only the form.
+Complete and complete bipartite graphs take one search path of at most n
+nodes; symmetry that twins do not explain, as in cycles, is still searched
+in full.
 """
 
 from __future__ import annotations
@@ -51,7 +60,12 @@ def _search(g: Graph, colors: list[int]) -> tuple[tuple, list[int]]:
         return _canon_key(g, perm), perm
     best_key = None
     best_perm: list[int] = []
+    m = g.adjacency_masks
+    tried: list[int] = []
     for v in target:
+        if any((m[u] ^ m[v]) & ~((1 << u) | (1 << v)) == 0 for u in tried):
+            continue  # twin of a tried vertex: the swap maps its subtree here
+        tried.append(v)
         branched = list(colors)
         branched[v] = -1  # individualise; refinement re-normalises colours
         key, perm = _search(g, branched)
@@ -76,6 +90,8 @@ def canonical_form(g: Graph) -> Graph:
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or len(g.edges) != len(h.edges):
+        return False
+    if sorted(map(g.degree, g.vertices)) != sorted(map(h.degree, h.vertices)):
         return False
     return canonical_form(g) == canonical_form(h)
 

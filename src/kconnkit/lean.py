@@ -85,8 +85,11 @@ def _first_violation(
 def is_k_lean_td(g: Graph, td: TreeDecomposition, k: int):
     """True, or the first violation in deterministic scan order.
 
-    Requires parts inside ``g`` and adhesion sets of fewer than k vertices.
+    Requires a tree, parts inside ``g`` and adhesion sets of fewer than k
+    vertices.
     """
+    if not td.tree.is_tree():
+        raise ValueError("the decomposition's tree is not a tree")
     check_vertices(g, frozenset().union(*td.parts))
     for s in td.adhesion_sets():
         if len(s) >= k:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 
+from kconnkit.canon import _canon_key, _refine
 from kconnkit.graph_core import Graph, Separation, components, menger, menger_count
 from kconnkit.kconn import KConnVerdict, KConnWitness
 from kconnkit.lean import LeanViolation
@@ -153,6 +154,43 @@ def pair_scan_first_violation(g: Graph, parts, k: int, cut_order):
                         if got < ell:
                             return LeanViolation(i, j, fz1, fz2, got)
     return None
+
+
+def _unpruned_search(g: Graph, colors: list[int]) -> tuple[tuple, list[int]]:
+    n = g.n
+    colors = _refine(g.adjacency, colors)
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    target = None
+    for c in sorted(cells):
+        if len(cells[c]) > 1:
+            target = cells[c]
+            break
+    if target is None:
+        perm = [0] * n
+        for v in range(n):
+            perm[v] = colors[v]
+        return _canon_key(g, perm), perm
+    best_key = None
+    best_perm: list[int] = []
+    for v in target:
+        branched = list(colors)
+        branched[v] = -1  # individualise; refinement re-normalises colours
+        key, perm = _unpruned_search(g, branched)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_perm = perm
+    return best_key, best_perm
+
+
+def unpruned_canonical_perm(g: Graph) -> tuple[int, ...]:
+    """``canon.canonical_perm`` without twin pruning: every vertex of the
+    target cell is branched on, so the whole search tree is visited."""
+    if g.n == 0:
+        return ()
+    _, perm = _unpruned_search(g, [0] * g.n)
+    return tuple(perm)
 
 
 def random_graph(rng, n: int, p: float = 0.4) -> Graph:

@@ -2,17 +2,20 @@ import itertools
 import math
 import random
 
+from kconnkit import canon
 from kconnkit.canon import (
     automorphism_count,
     canonical_form,
     canonical_graph6,
+    canonical_perm,
     connected_graphs,
     is_isomorphic,
     labeled_connected_count,
     to_graph6,
 )
 from kconnkit.graph_core import Graph, complete_graph, cycle_graph, path_graph
-from oracles import random_graph
+from kconnkit.typical_gen import GoodSequence, gen_complete_bipartite, gen_degenerate_frayed
+from oracles import random_graph, unpruned_canonical_perm
 
 
 def brute_canonical(g: Graph) -> Graph:
@@ -92,3 +95,79 @@ def test_canonical_graph6_invariant():
     g = random_graph(rng, 6)
     perm = [2, 4, 0, 5, 1, 3]
     assert canonical_graph6(g) == canonical_graph6(g.relabel(perm))
+
+
+def _relabelled(rng, g: Graph) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _canon_corpus_families() -> list[Graph]:
+    """The family graphs of the benchmark's canon_corpus workload."""
+    out = [
+        gen_complete_bipartite(a, b).graph
+        for a, b in ((1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (4, 4), (4, 5))
+    ]
+    out += [complete_graph(n) for n in (4, 5, 6, 7)]
+    out += [cycle_graph(n) for n in (6, 8, 10, 12)]
+    for k, ell, seq in ((2, 0, (1, 2)), (2, 1, (2, 3)), (3, 1, (2, 3)), (3, 2, (1, 2, 3)), (2, 0, (1, 2, 3))):
+        out.append(gen_degenerate_frayed(k, ell, GoodSequence(seq)).graph)
+    return out
+
+
+def test_twin_pruning_keeps_the_permutation():
+    # The pruned search must return the very permutation of the full search,
+    # not only an isomorphic form.
+    rng = random.Random(5)
+    graphs = list(connected_graphs(7)) + _canon_corpus_families()
+    assert len(graphs) == 996 + 23
+    for g in graphs:
+        h = _relabelled(rng, g)
+        assert canonical_perm(h) == unpruned_canonical_perm(h), sorted(h.edges)
+
+
+def test_twin_pruning_visits_at_most_n_nodes(monkeypatch):
+    search = canon._search
+    calls = 0
+
+    def counting(g, colors):
+        nonlocal calls
+        calls += 1
+        return search(g, colors)
+
+    monkeypatch.setattr(canon, "_search", counting)
+    for g in (
+        complete_graph(8),
+        gen_complete_bipartite(3, 9).graph,
+        gen_complete_bipartite(4, 20).graph,
+    ):
+        calls = 0
+        canonical_perm.__wrapped__(g)  # bypass the cache
+        assert 0 < calls <= g.n, (g.n, calls)
+
+
+def test_degree_precheck_skips_the_search(monkeypatch):
+    by_size: dict[tuple[int, int], list[Graph]] = {}
+    for g in connected_graphs(6):
+        by_size.setdefault((g.n, len(g.edges)), []).append(g)
+    pairs = [
+        (g, h)
+        for same in by_size.values()
+        for g, h in zip(same, same[1:])
+        if sorted(map(g.degree, g.vertices)) != sorted(map(h.degree, h.vertices))
+    ]
+    assert len(pairs) > 20
+
+    def no_search(g):
+        raise AssertionError("canonical_perm reached")
+
+    monkeypatch.setattr(canon, "canonical_perm", no_search)
+    for g, h in pairs:
+        assert not is_isomorphic(g, h)
+
+
+def test_isomorphic_pairs_pass_the_degree_precheck():
+    rng = random.Random(11)
+    for g in list(connected_graphs(6)) + _canon_corpus_families():
+        assert is_isomorphic(_relabelled(rng, g), _relabelled(rng, g))

@@ -165,6 +165,15 @@ def test_part_vertices_outside_the_graph_are_rejected():
         is_k_lean_td(g, td, 3)
 
 
+def test_decomposition_tree_must_be_a_tree():
+    parts = (frozenset({0, 1}), frozenset({1, 2}))
+    with pytest.raises(ValueError, match="not a tree"):
+        is_k_lean_td(path_graph(3), TreeDecomposition(Graph.from_edges(2), parts), 2)
+    cycle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="not a tree"):
+        is_k_lean_td(path_graph(3), TreeDecomposition(cycle, parts + (frozenset({1}),)), 2)
+
+
 def _sparse_part_decompositions(rng):
     """Large sparse hosts with a path of small overlapping parts, so that the
     demand kernel picks the pair scan for some part pairs."""
