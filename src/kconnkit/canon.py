@@ -18,7 +18,6 @@ in full.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Iterator
 
@@ -167,27 +166,6 @@ def connected_graphs(n_max: int) -> Iterator[Graph]:
         nxt.sort(key=lambda h: sorted(h.edges))
         yield from nxt
         level = nxt
-
-
-def labeled_connected_count(n: int) -> int:
-    """Number of labeled connected graphs on n vertices (counting oracle).
-
-    Independent of the enumeration: uses the standard recurrence that splits
-    off the component of a fixed vertex.
-    """
-    if n == 0:
-        return 1
-    total = [1] * (n + 1)
-    for m in range(1, n + 1):
-        total[m] = 2 ** (m * (m - 1) // 2)
-    conn = [0] * (n + 1)
-    conn[1] = 1
-    for m in range(2, n + 1):
-        s = total[m]
-        for k in range(1, m):
-            s -= math.comb(m - 1, k - 1) * conn[k] * total[m - k]
-        conn[m] = s
-    return conn[n]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .graph_core import Graph, SizeGuardError, components, menger, reachable_mask
+from .graph_core import Graph, SizeGuardError, check_k, components, menger, reachable_mask
 from .graph_core import menger_count as min_separator_size  # equal by Menger's theorem
 from .kconn import MaxKConnResult, is_k_connected, max_k_connected_subset
 from .sepsys import TreeDecomposition, adhesion, validate_td
@@ -117,6 +117,7 @@ def _min_max_decomposition(
 
 def k_tree_width(g: Graph, k: int, size_guard: int = 8) -> int:
     """Minimum over adhesion-<k tree-decompositions of the largest part size."""
+    check_k(k)
     if g.n > size_guard:
         raise SizeGuardError(f"k_tree_width exact search limited to n <= {size_guard}")
     value, td = _min_max_decomposition(g, k, len)
@@ -170,6 +171,7 @@ def verify_td_certificate(
     g: Graph, a: frozenset[int], k: int, m: int, td: TreeDecomposition
 ) -> bool:
     """Adhesion below k and every part separable from ``a`` by fewer than m."""
+    check_k(k)
     if not validate_td(g, td):
         raise ValueError("invalid tree-decomposition")
     if any(len(s) >= k for s in td.adhesion_sets()):

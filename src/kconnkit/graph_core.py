@@ -163,6 +163,12 @@ def check_vertices(g: Graph, vs: Iterable[int]) -> frozenset[int]:
     return fs
 
 
+def check_k(k: int) -> None:
+    """``ValueError`` unless the connectivity parameter ``k`` is non-negative."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+
+
 def _mask_of(vs: Iterable[int]) -> int:
     m = 0
     for v in vs:

@@ -11,7 +11,11 @@ in C and more than s of ``p2`` in D.
 either by enumerating every separator of fewer than ``top`` vertices or by
 running a flow for every pair of subsets, whichever a cost estimate says is
 cheaper.  Both return the first failing pair, ranked ascending in ``l`` and
-then lexicographically.
+then lexicographically.  The separator scan runs no flow: its least violating
+order s fixes ``l = s + 1`` and the failing pair's ``s`` paths, and bitmask
+tests against ``z1 & z2`` (route a) or the order-s separators (route b)
+decide each pair.  Only the witness separator of :func:`is_k_connected`
+comes from a flow.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph_core import (
     Graph,
+    _bits,
     _min_separator,
+    check_k,
     check_vertices,
     components,
     menger,
@@ -65,8 +71,7 @@ def is_k_connected(g: Graph, a: Iterable[int], k: int) -> KConnVerdict:
     trivial witnesses and are skipped.
     """
     fa = check_vertices(g, a)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    check_k(k)
     if len(fa) < k:
         raise ValueError(f"set of size {len(fa)} cannot be {k}-connected (needs >= {k})")
     failed = first_failed_pair(g, fa, fa, k)
@@ -82,21 +87,26 @@ def first_failed_pair(
     """The first ``(z1, z2, paths)`` with ``z1 <= p1``, ``z2 <= p2``, ``z1 !=
     z2``, ``len(z1) == len(z2) = l <= top`` and only ``paths < l`` disjoint
     z1-z2 paths, or ``None``.  When ``p1 == p2`` only pairs with ``z1 < z2``
-    are scanned.  Every vertex must lie in ``g``.  The pair scan runs about
-    ``sum C(len(p1), l) * C(len(p2), l)`` flows; the separator scan visits
-    ``sum_{s<top} C(g.n, s)`` sets, and its smallest violating order s
-    leaves only the pairs of size ``s + 1`` to scan.
+    are scanned.  Every vertex must lie in ``g``.
+
+    The pair scan runs about ``sum C(len(p1), l) * C(len(p2), l)`` flows.  The
+    separator scan visits ``sum_{s<top} C(g.n, s)`` sets and runs no flow: its
+    smallest violating order s leaves only the pairs of size ``s + 1``, and a
+    pair fails iff some X of at most s vertices separates it.  Such an X is a
+    violating separator, so ``len(X) == s`` by minimality and ``paths == s``.
+    If ``z1 & z2`` has s vertices it is X, and one reachability test decides
+    the pair (route a); otherwise the pair fails iff some violating separator
+    of order s leaves no component meeting both ``z1 - S`` and ``z2 - S``
+    (route b), the rest of that level being enumerated only while no
+    separator found so far splits the pair.
     """
     same = p1 == p2
     top = min(top, len(p1), len(p2))
-    sizes: Iterable[int] = range(1, top + 1)
-    pairs = sum(math.comb(len(p1), ell) * math.comb(len(p2), ell) for ell in sizes)
+    pairs = sum(math.comb(len(p1), ell) * math.comb(len(p2), ell) for ell in range(1, top + 1))
     if _SCAN_PER_FLOW * sum(math.comb(g.n, s) for s in range(top)) < pairs / (2 if same else 1):
-        s = _smallest_violating_order(g, p1, p2, top)
-        if s is None:
-            return None
-        sizes = (s + 1,)
-    for ell in sizes:
+        level = _smallest_violating_order(g, p1, p2, top)
+        return None if level is None else _first_split_pair(g, p1, p2, *level)
+    for ell in range(1, top + 1):
         left = [frozenset(z) for z in itertools.combinations(sorted(p1), ell)]
         right = left if same else [frozenset(z) for z in itertools.combinations(sorted(p2), ell)]
         for i, z1 in enumerate(left):
@@ -106,46 +116,111 @@ def first_failed_pair(
     return None
 
 
+_Separator = list[int]  # S given by the components of g - S that meet p1 | p2, as masks
+
+
+def _first_split_pair(
+    g: Graph,
+    p1: frozenset[int],
+    p2: frozenset[int],
+    s: int,
+    first: _Separator,
+    level: Iterator[_Separator],
+) -> tuple[frozenset[int], frozenset[int], int]:
+    """The first pair of size ``s + 1`` that a separator of order s splits,
+    in the pair scan's order (see :func:`first_failed_pair`)."""
+    same = p1 == p2
+    masks = g.adjacency_masks
+    full = (1 << g.n) - 1
+    found = [first]
+
+    def cuts(comps: _Separator, m1: int, m2: int) -> bool:
+        return not any(c & m1 and c & m2 for c in comps)
+
+    def separated(m1: int, m2: int) -> bool:
+        if any(cuts(sep, m1, m2) for sep in found):
+            return True
+        for sep in level:  # finish level s only as far as this pair needs
+            found.append(sep)
+            if cuts(sep, m1, m2):
+                return True
+        return False
+
+    def subsets(p: frozenset[int]) -> list[int]:
+        return list(map(sum, itertools.combinations([1 << v for v in sorted(p)], s + 1)))
+
+    left = subsets(p1)
+    right = left if same else subsets(p2)
+    for i, m1 in enumerate(left):
+        for m2 in right[i + 1 :] if same else right:
+            if m1 == m2:
+                continue
+            common = m1 & m2
+            if common.bit_count() == s:  # route a: the separator is z1 & z2
+                if reachable_mask(masks, m1 & ~common, full & ~common) & m2:
+                    continue
+            elif not separated(m1, m2):  # route b
+                continue
+            return frozenset(_bits(m1)), frozenset(_bits(m2)), s
+    raise AssertionError("violating separation but no failing pair")
+
+
 def _smallest_violating_order(
     g: Graph, p1: frozenset[int], p2: frozenset[int], top: int
-) -> int | None:
+) -> tuple[int, _Separator, Iterator[_Separator]] | None:
     """Least s < top such that a separation (C, D) of order s has more than s
-    vertices of ``p1`` in C and more than s of ``p2`` in D, or ``None``.
+    vertices of ``p1`` in C and more than s of ``p2`` in D, with the first
+    such separator and the unvisited rest of level s; or ``None``."""
+    for s in range(top):
+        level = _violating_separators(g, p1, p2, s)
+        first = next(level, None)
+        if first is not None:
+            return s, first, level
+    return None
 
-    For each separator S a subset sum groups the components of ``g - S`` that
-    meet ``p1 | p2``.  A component with ``c1`` vertices of ``p1`` and ``c2``
-    of ``p2`` shifts its bitset by ``c1 * w + c2``, ``w = len(p2 - S) + 1``,
-    so bit ``a * w + b`` is a side C with ``a`` and ``b`` of them outside S.
+
+def _violating_separators(
+    g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
+) -> Iterator[_Separator]:
+    """Each separator S of s vertices, in combination order, of a separation
+    (C, D) with more than s vertices of ``p1`` in C and more than s of ``p2``
+    in D, as the components of ``g - S`` that meet ``p1 | p2``.
+
+    A subset sum groups the components of ``g - S`` that meet ``p1 | p2``.  A
+    component with ``c1`` vertices of ``p1`` and ``c2`` of ``p2`` shifts its
+    bitset by ``c1 * w + c2``, ``w = len(p2 - S) + 1``, so bit ``a * w + b`` is
+    a side C with ``a`` and ``b`` of them outside S.
     """
     masks = g.adjacency_masks
     full = (1 << g.n) - 1
     m1 = sum(1 << v for v in p1)
     m2 = sum(1 << v for v in p2)
     both = m1 | m2
-    bits = [1 << v for v in range(g.n)]
-    for s in range(top):
-        for sep in itertools.combinations(bits, s):
-            smask = sum(sep)
-            rest = both & ~smask
-            # C needs need1 vertices of p1 outside S, D needs need2 of p2
-            need1 = s + 1 - (m1 & smask).bit_count()
-            need2 = s + 1 - (m2 & smask).bit_count()
-            if rest.bit_count() < need1 + need2:
-                continue
-            allowed = full & ~smask
-            if not rest & ~reachable_mask(masks, rest & -rest, allowed):
-                continue  # one component: the other side has no vertex outside S
-            w = len(p2) - s + need2  # len(p2 - S) + 1
-            sums = 1
-            while rest:
-                comp = reachable_mask(masks, rest & -rest, allowed)
-                rest &= ~comp
-                sums |= sums << ((comp & m1).bit_count() * w + (comp & m2).bit_count())
-            # a side C with a >= need1 (the shift) leaving D need2 (the low bits)
-            fields = ((1 << w * (len(p1) - s)) - 1) // ((1 << w) - 1)
-            if (sums >> need1 * w) & fields * ((1 << (len(p2) - s)) - 1):
-                return s
-    return None
+    for sep in itertools.combinations([1 << v for v in range(g.n)], s):
+        smask = sum(sep)
+        rest = both & ~smask
+        # C needs need1 vertices of p1 outside S, D needs need2 of p2
+        need1 = s + 1 - (m1 & smask).bit_count()
+        need2 = s + 1 - (m2 & smask).bit_count()
+        if rest.bit_count() < need1 + need2:
+            continue
+        allowed = full & ~smask
+        comp = reachable_mask(masks, rest & -rest, allowed)
+        if not rest & ~comp:
+            continue  # one component: the other side has no vertex outside S
+        comps = [comp]
+        rest &= ~comp
+        while rest:
+            comps.append(reachable_mask(masks, rest & -rest, allowed))
+            rest &= ~comps[-1]
+        w = len(p2) - s + need2  # len(p2 - S) + 1
+        sums = 1
+        for comp in comps:
+            sums |= sums << ((comp & m1).bit_count() * w + (comp & m2).bit_count())
+        # a side C with a >= need1 (the shift) leaving D need2 (the low bits)
+        fields = ((1 << w * (len(p1) - s)) - 1) // ((1 << w) - 1)
+        if (sums >> need1 * w) & fields * ((1 << (len(p2) - s)) - 1):
+            yield comps
 
 
 @dataclass(frozen=True)
@@ -165,8 +240,7 @@ def max_k_connected_subset(g: Graph, a: Iterable[int], k: int) -> MaxKConnResult
     Requires ``k >= 0``.
     """
     fa = check_vertices(g, a)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    check_k(k)
     if k == 0:
         return MaxKConnResult(len(fa), fa)
     ordered = sorted(fa)

@@ -6,7 +6,9 @@ equal) parts, is answered either by that many disjoint paths or by an edge
 of the decomposition tree between the parts inducing a separation smaller
 than the demand.  Demands of size up to ``top`` between parts P1 and P2 hold
 iff no separation (C, D) of order s < top has more than s vertices of P1 in C
-and more than s of P2 in D, which :func:`kconnkit.kconn.first_failed_pair` tests.
+and more than s of P2 in D.  :func:`kconnkit.kconn.first_failed_pair` tests
+this by a separator scan without flows, or a flow per demand on hosts where
+that is cheaper, and returns the first failed demand.
 
 The builder starts from the trivial decomposition and resolves violations
 by splitting along a minimum separator: the tree is doubled into an A-copy
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 # menger_count is unused here but kept: the benchmark's tracer wraps lean.menger_count.
-from .graph_core import Graph, check_vertices, components, menger, menger_count  # noqa: F401
+from .graph_core import Graph, check_k, check_vertices, components, menger, menger_count  # noqa: F401
 from .kconn import first_failed_pair
 from .sepsys import NestedSeparationSystem, TreeDecomposition, consistent_orientations, part_of
 
@@ -88,6 +90,7 @@ def is_k_lean_td(g: Graph, td: TreeDecomposition, k: int):
     Requires a tree, parts inside ``g`` and adhesion sets of fewer than k
     vertices.
     """
+    check_k(k)
     if not td.tree.is_tree():
         raise ValueError("the decomposition's tree is not a tree")
     check_vertices(g, frozenset().union(*td.parts))
@@ -109,6 +112,7 @@ def is_k_lean_nss(n: NestedSeparationSystem, k: int):
     rather than through :func:`nss_to_td`, which rejects systems with a
     separation onto the whole vertex set.
     """
+    check_k(k)
     for s in n.seps:
         if s.order >= k:
             raise ValueError(f"member of order {s.order} >= k={k}")

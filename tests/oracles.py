@@ -7,6 +7,7 @@ structures directly so that agreement is a real check and not a tautology.
 from __future__ import annotations
 
 import itertools
+import math
 
 from kconnkit.canon import _canon_key, _refine
 from kconnkit.graph_core import Graph, Separation, components, menger, menger_count
@@ -191,6 +192,27 @@ def unpruned_canonical_perm(g: Graph) -> tuple[int, ...]:
         return ()
     _, perm = _unpruned_search(g, [0] * g.n)
     return tuple(perm)
+
+
+def labeled_connected_count(n: int) -> int:
+    """Number of labeled connected graphs on n vertices (counting oracle).
+
+    Independent of the enumeration: uses the standard recurrence that splits
+    off the component of a fixed vertex.
+    """
+    if n == 0:
+        return 1
+    total = [1] * (n + 1)
+    for m in range(1, n + 1):
+        total[m] = 2 ** (m * (m - 1) // 2)
+    conn = [0] * (n + 1)
+    conn[1] = 1
+    for m in range(2, n + 1):
+        s = total[m]
+        for k in range(1, m):
+            s -= math.comb(m - 1, k - 1) * conn[k] * total[m - k]
+        conn[m] = s
+    return conn[n]
 
 
 def random_graph(rng, n: int, p: float = 0.4) -> Graph:

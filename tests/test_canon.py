@@ -10,12 +10,11 @@ from kconnkit.canon import (
     canonical_perm,
     connected_graphs,
     is_isomorphic,
-    labeled_connected_count,
     to_graph6,
 )
 from kconnkit.graph_core import Graph, complete_graph, cycle_graph, path_graph
 from kconnkit.typical_gen import GoodSequence, gen_complete_bipartite, gen_degenerate_frayed
-from oracles import random_graph, unpruned_canonical_perm
+from oracles import labeled_connected_count, random_graph, unpruned_canonical_perm
 
 
 def brute_canonical(g: Graph) -> Graph:

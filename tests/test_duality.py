@@ -67,6 +67,16 @@ def test_k_tree_width_k0_single_part():
     assert k_tree_width(g, 0) == 6
 
 
+def test_negative_k_is_rejected():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="k must be non-negative, got -2"):
+        k_tree_width(g, -2)
+    one_part = TreeDecomposition(Graph.from_edges(1), (g.vertex_set,))
+    with pytest.raises(ValueError, match="k must be non-negative, got -1"):
+        verify_td_certificate(g, g.vertex_set, -1, 2, one_part)
+    assert k_tree_width(g, 0) == 4
+
+
 def test_k_tree_width_unbounded_adhesion_is_tree_width():
     # with adhesion unconstrained the same search computes tree-width + 1
     rng = random.Random(42)

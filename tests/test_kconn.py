@@ -11,6 +11,7 @@ from kconnkit.graph_core import (
     Graph,
     complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
     path_graph,
 )
 from kconnkit.kconn import (
@@ -116,7 +117,80 @@ def test_failing_pair_flow_runs_once(monkeypatch):
     graph_core._menger_count_cached.cache_clear()
     verdict = is_k_connected(path_graph(4), {0, 1, 2, 3}, 2)
     assert (verdict.witness.z1, verdict.witness.z2) == (frozenset({0, 1}), frozenset({1, 2}))
-    assert runs.count((frozenset({0, 1}), frozenset({1, 2}), False)) == 1
+    # no pair flow on the separator branch; one weighted flow for the separator
+    assert runs == [(frozenset({0, 1}), frozenset({1, 2}), True)]
+
+
+def test_separator_branch_runs_no_pair_flow(monkeypatch):
+    """The separator branch decides every pair by bitmask tests: a failing
+    pair has exactly l - 1 disjoint paths, no flow runs, and both routes
+    (the separator is z1 & z2, or one of the order-s separators) and the lazy
+    rest of a level are exercised.  The branch raises AssertionError if a
+    violating separation yields no failing pair.  On cycles and paths every
+    pair before the witness shares s vertices, so route a alone reaches the
+    witness and the rest of the level is never entered."""
+    flows = []
+    real_run_flow = graph_core._run_flow
+
+    def counting_run_flow(g, fa, fb, limit, weighted=False):
+        flows.append(weighted)
+        return real_run_flow(g, fa, fb, limit, weighted)
+
+    levels = []  # (s, times the rest of the level was entered)
+    real_scan = kconn._smallest_violating_order
+
+    def recording_scan(*args):
+        got = real_scan(*args)
+        if got is None:
+            levels.append(None)
+            return None
+        s, first, rest = got
+        entry = [s, 0]
+        levels.append(entry)
+
+        def lazy_rest():
+            entry[1] += 1
+            yield from rest
+
+        return s, first, lazy_rest()
+
+    monkeypatch.setattr(graph_core, "_run_flow", counting_run_flow)
+    monkeypatch.setattr(kconn, "_smallest_violating_order", recording_scan)
+    rng = random.Random(6116)
+    cases = []
+    for g in connected_graphs(6):
+        for a in (g.vertex_set, frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))):
+            cases += [(g, a, k, False) for k in range(len(a) + 1)]
+    square = Graph.from_edges(16, [(i, i + d) for d in (1, 2) for i in range(16 - d)])
+    for g in (cycle_graph(12), cycle_graph(16), path_graph(16), square):
+        cases += [(g, g.vertex_set, k, g is not square) for k in range(1, 5)]
+    routes = collections.Counter()
+    for g, a, k, route_a_only in cases:
+        del levels[:]
+        before = len(flows)
+        got = kconn.first_failed_pair(g, a, a, k)
+        if not levels:
+            continue  # the cost estimate chose the pair scan
+        assert len(flows) == before, (g, a, k)
+        if got is None:
+            assert levels == [None]
+            continue
+        (s, entered), (z1, z2, paths) = levels[0], got
+        ell = len(z1)
+        assert paths == ell - 1 == s
+        assert paths == graph_core.menger_count(g, z1, z2)
+        assert not (route_a_only and entered), (g, k)
+        routes["rest of level entered"] += entered > 0
+        routes["a fails" if len(z1 & z2) == s else "b fails"] += 1
+        # the pairs scanned before the witness all passed
+        subsets = [frozenset(z) for z in itertools.combinations(sorted(a), ell)]
+        before_witness = itertools.takewhile(
+            lambda pair: pair != (z1, z2),
+            ((x, y) for i, x in enumerate(subsets) for y in subsets[i + 1 :]),
+        )
+        routes["a passes"] += any(len(x & y) == s for x, y in before_witness)
+    for route in ("a fails", "a passes", "b fails", "rest of level entered"):
+        assert routes[route], routes
 
 
 def test_path_is_not_2_connected_with_deterministic_witness():

@@ -165,6 +165,22 @@ def test_part_vertices_outside_the_graph_are_rejected():
         is_k_lean_td(g, td, 3)
 
 
+def test_negative_k_is_rejected():
+    g = path_graph(4)
+    one_part = TreeDecomposition(Graph.from_edges(1), (g.vertex_set,))
+    empty = NestedSeparationSystem(g, frozenset())
+    for call in (
+        lambda k: build_k_lean_td(g, k),
+        lambda k: is_k_lean_td(g, one_part, k),
+        lambda k: is_k_lean_nss(empty, k),
+    ):
+        with pytest.raises(ValueError, match="k must be non-negative, got -1"):
+            call(-1)
+    assert build_k_lean_td(g, 0) == one_part
+    assert is_k_lean_td(g, one_part, 0) is True
+    assert is_k_lean_nss(empty, 0) is True
+
+
 def test_decomposition_tree_must_be_a_tree():
     parts = (frozenset({0, 1}), frozenset({1, 2}))
     with pytest.raises(ValueError, match="not a tree"):
