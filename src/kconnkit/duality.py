@@ -8,11 +8,21 @@ Conventions (finite analogues of the cardinal statements):
 * ``tree_width`` is the usual tree-width (min over all decompositions of
   largest part size minus one).
 
-The exact searches run over rooted, normalised decompositions: the root
+The min-max search runs over rooted, normalised decompositions: the root
 part is chosen, every component hanging off it becomes its own child whose
 interface (its neighbourhood, necessarily smaller than k) must be covered
 by the child's root part.  Any decomposition can be normalised into this
-shape without increasing part sizes, so the recursion is exhaustive.
+shape without increasing part sizes, so the recursion is exhaustive.  A
+state is a component alone, since its interface is its neighbourhood.
+
+Both exact searches work on vertex bitmasks and share one kernel,
+``graph_core.component_masks``: the components of a vertex mask, each with
+its neighbourhood mask.  The min-max search calls it once per remainder
+of a candidate part, the tree-width DP once per eliminated set.
+
+The bounds ``verify_sec1_bounds`` checks are those of Diestel, Jensen,
+Gorbunov & Thomassen, JCTB 75 (1999), and Geelen & Joeris,
+arXiv:1609.09098.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .graph_core import Graph, SizeGuardError, check_k, components, menger, reachable_mask
+from .graph_core import Graph, SizeGuardError, _bits, check_k, component_masks, menger
 from .graph_core import menger_count as min_separator_size  # equal by Menger's theorem
 from .kconn import MaxKConnResult, is_k_connected, max_k_connected_subset
 from .sepsys import TreeDecomposition, adhesion, validate_td
@@ -37,8 +47,14 @@ def _min_max_decomposition(
 ) -> tuple[int, TreeDecomposition]:
     """Minimise the maximum part cost over decompositions of adhesion < k.
 
-    Exact, memoised on (interface, component) states.  Returns the optimum
-    value together with a witnessing decomposition.
+    Exact, memoised on the component alone: its interface is always its
+    neighbourhood N(comp).  At a root N(comp) is empty, and a child region is
+    a component of ``comp - part``, so its neighbours lie in ``part``.  States
+    and parts are vertex masks.  The extra vertices of a part are tried by
+    size, then lexicographically, and the first strictly better part wins.
+    Each part's cost, and the split of each remainder ``comp - part`` into
+    child regions, is computed once per call.  Returns the optimum value
+    together with a witnessing decomposition.
     """
     if g.n == 0:
         return 0, TreeDecomposition(Graph.from_edges(1), (frozenset(),))
@@ -46,30 +62,35 @@ def _min_max_decomposition(
         part = g.vertex_set
         return cost(part), TreeDecomposition(Graph.from_edges(1), (part,))
 
-    memo: dict[tuple[frozenset[int], frozenset[int]], tuple[int, tuple]] = {}
+    masks = g.adjacency_masks
+    memo: dict[int, tuple[int, tuple]] = {}
+    part_costs: dict[int, int] = {}
+    splits: dict[int, list[tuple[int, int]]] = {}
 
-    def neighbourhood(c: frozenset[int]) -> frozenset[int]:
-        return frozenset().union(*(g.neighbors(v) for v in c)) - c
-
-    def best_for(interface: frozenset[int], comp: frozenset[int]) -> tuple[int, tuple]:
-        key = (interface, comp)
-        if key in memo:
-            return memo[key]
+    def best_for(interface: int, comp: int) -> tuple[int, tuple]:
+        if comp in memo:
+            return memo[comp]
         best_val = math.inf
         best_struct: tuple | None = None
-        ordered = sorted(comp)
-        for size in range(1, len(ordered) + 1):
-            for extra in combinations(ordered, size):
-                part = interface | frozenset(extra)
-                part_cost = cost(part)
+        singles = [1 << v for v in _bits(comp)]
+        for size in range(1, len(singles) + 1):
+            for extra in combinations(singles, size):
+                extra_mask = sum(extra)
+                part = interface | extra_mask
+                part_cost = part_costs.get(part)
+                if part_cost is None:
+                    part_cost = part_costs[part] = cost(frozenset(_bits(part)))
                 if part_cost >= best_val:
                     continue
+                rest = comp & ~extra_mask
+                split = splits.get(rest)
+                if split is None:
+                    split = splits[rest] = component_masks(masks, rest)
                 val = part_cost
                 children = []
                 feasible = True
-                for child_comp in components(g, comp - part):
-                    child_if = neighbourhood(child_comp) & part
-                    if len(child_if) >= k:
+                for child_comp, child_if in split:
+                    if child_if.bit_count() >= k:
                         feasible = False
                         break
                     child_val, child_struct = best_for(child_if, child_comp)
@@ -83,13 +104,13 @@ def _min_max_decomposition(
                     best_struct = (part, tuple(children))
         if best_struct is None:
             raise AssertionError("taking the whole region as one part always works")
-        memo[key] = (best_val, best_struct)
-        return memo[key]
+        memo[comp] = (best_val, best_struct)
+        return memo[comp]
 
     structures = []
     value = 0
-    for comp in components(g):
-        v, s = best_for(frozenset(), comp)
+    for comp, _ in component_masks(masks, (1 << g.n) - 1):
+        v, s = best_for(0, comp)
         value = max(value, v)
         structures.append(s)
 
@@ -99,7 +120,7 @@ def _min_max_decomposition(
     def emit(struct: tuple, parent: int | None) -> None:
         part, children = struct
         idx = len(parts)
-        parts.append(part)
+        parts.append(frozenset(_bits(part)))
         if parent is not None:
             edges.append((parent, idx))
         for ch in children:
@@ -127,7 +148,15 @@ def k_tree_width(g: Graph, k: int, size_guard: int = 8) -> int:
 
 
 def tree_width(g: Graph, size_guard: int = 10) -> int:
-    """Exact tree-width via the elimination-ordering subset DP."""
+    """Exact tree-width via the elimination-ordering subset DP.
+
+    ``f[S]`` is the least width of an order that eliminates S first.
+    Eliminating v after S costs the number of vertices outside S + v that v
+    reaches through S: its own neighbours and those of every component of
+    G[S] it touches.  The DP pushes: once ``f[S]`` is final, the components
+    of G[S] are found once, with their neighbourhoods, and ``f[S + v]`` is
+    relaxed for every v outside S.
+    """
     if g.n > size_guard:
         raise SizeGuardError(f"tree_width exact search limited to n <= {size_guard}")
     n = g.n
@@ -135,31 +164,24 @@ def tree_width(g: Graph, size_guard: int = 10) -> int:
         return -1
     masks = g.adjacency_masks
     full = (1 << n) - 1
-
-    def elim_degree(xmask: int, v: int) -> int:
-        # neighbours of v reachable through eliminated set xmask
-        region = reachable_mask(masks, masks[v] & xmask, xmask)
-        seen = masks[v] | region
-        m = region
+    f = [n] * (1 << n)
+    f[0] = 0
+    for s in range(full):
+        f_s = f[s]
+        # reach[v]: the neighbours of v and of each component of G[s] next to v
+        reach = list(masks)
+        for _, nb in component_masks(masks, s):
+            for v in _bits(nb):
+                reach[v] |= nb
+        outside = full & ~s
+        m = outside
         while m:
             b = m & -m
-            seen |= masks[b.bit_length() - 1]
             m ^= b
-        return bin(seen & ~xmask & ~(1 << v)).count("1")
-
-    f = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        best = n
-        m = s
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            prev = f[s ^ b]
-            cand = max(prev, elim_degree(s ^ b, v))
-            if cand < best:
-                best = cand
-        f[s] = best
+            t = s | b
+            cand = max(f_s, (reach[b.bit_length() - 1] & outside & ~b).bit_count())
+            if cand < f[t]:
+                f[t] = cand
     return f[full]
 
 

@@ -192,20 +192,38 @@ def reachable_mask(masks: Sequence[int], start: int, allowed: int) -> int:
     return comp
 
 
+def component_masks(masks: Sequence[int], allowed: int) -> list[tuple[int, int]]:
+    """Components of the graph induced on ``allowed``, each with its
+    neighbourhood in the whole graph, as ``(component, neighbourhood)`` masks.
+
+    Components are ordered by their smallest vertex.  The neighbourhood of a
+    component lies outside ``allowed``.
+    """
+    out: list[tuple[int, int]] = []
+    rest = allowed
+    while rest:
+        comp = frontier = rest & -rest
+        closed = 0
+        while frontier:
+            m = frontier
+            while m:
+                b = m & -m
+                closed |= masks[b.bit_length() - 1]
+                m ^= b
+            frontier = closed & allowed & ~comp
+            comp |= frontier
+        rest &= ~comp
+        out.append((comp, closed & ~comp))
+    return out
+
+
 def components(g: Graph, within: Iterable[int] | None = None) -> list[frozenset[int]]:
     """Components of ``g[within]`` (all of ``g`` by default), in original ids.
 
     Components are ordered by their smallest vertex.
     """
-    masks = g.adjacency_masks
     allowed = (1 << g.n) - 1 if within is None else _mask_of(check_vertices(g, within))
-    rest = allowed
-    out: list[frozenset[int]] = []
-    while rest:
-        comp = reachable_mask(masks, rest & -rest, allowed)
-        rest &= ~comp
-        out.append(frozenset(_bits(comp)))
-    return out
+    return [frozenset(_bits(c)) for c, _ in component_masks(g.adjacency_masks, allowed)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,22 @@ from __future__ import annotations
 
 import itertools
 import math
+from itertools import combinations
+from typing import Callable
 
 from kconnkit.canon import _canon_key, _refine
-from kconnkit.graph_core import Graph, Separation, components, menger, menger_count
+from kconnkit.graph_core import (
+    Graph,
+    Separation,
+    SizeGuardError,
+    components,
+    menger,
+    menger_count,
+    reachable_mask,
+)
 from kconnkit.kconn import KConnVerdict, KConnWitness
 from kconnkit.lean import LeanViolation
-from kconnkit.sepsys import is_nested_pair, nss_from_separations
+from kconnkit.sepsys import TreeDecomposition, is_nested_pair, nss_from_separations
 
 
 def all_ab_paths(g: Graph, a: frozenset[int], b: frozenset[int]) -> list[tuple[int, ...]]:
@@ -192,6 +202,128 @@ def unpruned_canonical_perm(g: Graph) -> tuple[int, ...]:
         return ()
     _, perm = _unpruned_search(g, [0] * g.n)
     return tuple(perm)
+
+
+def frozenset_min_max_decomposition(
+    g: Graph, k: int, cost: Callable[[frozenset[int]], int]
+) -> tuple[int, TreeDecomposition]:
+    """``duality._min_max_decomposition`` as a frozenset search: minimise the
+    maximum part cost over decompositions of adhesion < k.
+
+    Exact, memoised on (interface, component) states.  Returns the optimum
+    value together with a witnessing decomposition.
+    """
+    if g.n == 0:
+        return 0, TreeDecomposition(Graph.from_edges(1), (frozenset(),))
+    if k <= 0:
+        part = g.vertex_set
+        return cost(part), TreeDecomposition(Graph.from_edges(1), (part,))
+
+    memo: dict[tuple[frozenset[int], frozenset[int]], tuple[int, tuple]] = {}
+
+    def neighbourhood(c: frozenset[int]) -> frozenset[int]:
+        return frozenset().union(*(g.neighbors(v) for v in c)) - c
+
+    def best_for(interface: frozenset[int], comp: frozenset[int]) -> tuple[int, tuple]:
+        key = (interface, comp)
+        if key in memo:
+            return memo[key]
+        best_val = math.inf
+        best_struct: tuple | None = None
+        ordered = sorted(comp)
+        for size in range(1, len(ordered) + 1):
+            for extra in combinations(ordered, size):
+                part = interface | frozenset(extra)
+                part_cost = cost(part)
+                if part_cost >= best_val:
+                    continue
+                val = part_cost
+                children = []
+                feasible = True
+                for child_comp in components(g, comp - part):
+                    child_if = neighbourhood(child_comp) & part
+                    if len(child_if) >= k:
+                        feasible = False
+                        break
+                    child_val, child_struct = best_for(child_if, child_comp)
+                    val = max(val, child_val)
+                    children.append(child_struct)
+                    if val >= best_val:
+                        feasible = False
+                        break
+                if feasible and val < best_val:
+                    best_val = val
+                    best_struct = (part, tuple(children))
+        if best_struct is None:
+            raise AssertionError("taking the whole region as one part always works")
+        memo[key] = (best_val, best_struct)
+        return memo[key]
+
+    structures = []
+    value = 0
+    for comp in components(g):
+        v, s = best_for(frozenset(), comp)
+        value = max(value, v)
+        structures.append(s)
+
+    parts: list[frozenset[int]] = []
+    edges: list[tuple[int, int]] = []
+
+    def emit(struct: tuple, parent: int | None) -> None:
+        part, children = struct
+        idx = len(parts)
+        parts.append(part)
+        if parent is not None:
+            edges.append((parent, idx))
+        for ch in children:
+            emit(ch, idx)
+
+    root_ids = []
+    for s in structures:
+        root_ids.append(len(parts))
+        emit(s, None)
+    for r1, r2 in zip(root_ids, root_ids[1:]):
+        edges.append((r1, r2))
+    td = TreeDecomposition(Graph.from_edges(len(parts), edges), tuple(parts))
+    return value, td
+
+
+def pull_tree_width(g: Graph, size_guard: int = 10) -> int:
+    """``duality.tree_width`` as a pull DP: exact tree-width via the
+    elimination-ordering subset DP, one reachability search per (set, vertex)."""
+    if g.n > size_guard:
+        raise SizeGuardError(f"tree_width exact search limited to n <= {size_guard}")
+    n = g.n
+    if n == 0:
+        return -1
+    masks = g.adjacency_masks
+    full = (1 << n) - 1
+
+    def elim_degree(xmask: int, v: int) -> int:
+        # neighbours of v reachable through eliminated set xmask
+        region = reachable_mask(masks, masks[v] & xmask, xmask)
+        seen = masks[v] | region
+        m = region
+        while m:
+            b = m & -m
+            seen |= masks[b.bit_length() - 1]
+            m ^= b
+        return bin(seen & ~xmask & ~(1 << v)).count("1")
+
+    f = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        best = n
+        m = s
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            prev = f[s ^ b]
+            cand = max(prev, elim_degree(s ^ b, v))
+            if cand < best:
+                best = cand
+        f[s] = best
+    return f[full]
 
 
 def labeled_connected_count(n: int) -> int:

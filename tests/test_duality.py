@@ -5,6 +5,7 @@ import pytest
 
 from kconnkit.canon import connected_graphs
 from kconnkit.duality import (
+    _min_max_decomposition,
     check_duality,
     inseparable_transfer,
     k_tree_width,
@@ -17,10 +18,17 @@ from kconnkit.graph_core import (
     SizeGuardError,
     complete_bipartite_graph,
     complete_graph,
+    menger_count,
     path_graph,
 )
 from kconnkit.sepsys import TreeDecomposition, validate_td
-from oracles import min_separator_size, random_connected_graph
+from duality_census import bounds_hold, census_cases
+from oracles import (
+    frozenset_min_max_decomposition,
+    min_separator_size,
+    pull_tree_width,
+    random_connected_graph,
+)
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -44,6 +52,46 @@ def test_tree_width_known_values():
     assert tree_width(grid_graph(3, 3)) == 3
     assert tree_width(Graph.from_edges(1)) == 0
     assert tree_width(Graph.from_edges(0)) == -1
+
+
+def test_min_max_matches_frozenset_search():
+    # same value and same decomposition (part order and tree) as the frozenset
+    # search, for the k_tree_width cost and for separability from V and from A
+    rng = random.Random(7301)
+    cases = 0
+    for g in connected_graphs(6):
+        a = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        costs = (
+            len,
+            lambda p, g=g: menger_count(g, g.vertex_set, p),
+            lambda p, g=g, a=a: menger_count(g, a, p),
+        )
+        for k in range(1, 5):
+            for cost in costs:
+                value, td = _min_max_decomposition(g, k, cost)
+                want_value, want_td = frozenset_min_max_decomposition(g, k, cost)
+                assert (value, td) == (want_value, want_td), (g, a, k)
+                cases += 1
+    assert cases == 143 * 4 * 3
+
+
+def test_tree_width_matches_pull_dp():
+    rng = random.Random(7302)
+    hosts = list(connected_graphs(7)) + [grid_graph(3, 3)]
+    hosts += [random_connected_graph(rng, n, p) for n in (9, 10) for p in (0.2, 0.4, 0.6)]
+    for g in hosts:
+        assert tree_width(g) == pull_tree_width(g), g
+
+
+def test_duality_census():
+    # s' - (k - 1) <= v <= s' on every connected graph with n <= 6, for A = V
+    # and a seeded A; since v <= s', the optimal decomposition certifies m = s' + 1
+    cases = 0
+    for g, _, a, k, report in census_cases(6):
+        assert bounds_hold(k, report), (g, a, k, report.max_kconn, report.separability)
+        assert verify_td_certificate(g, a, k, report.max_kconn + 1, report.best_td)
+        cases += 1
+    assert cases == 1130
 
 
 def test_tree_width_guard():

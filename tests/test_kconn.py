@@ -406,6 +406,26 @@ def test_largest_component_restriction_pigeonhole_bound():
         assert len(got) >= bound
 
 
+def test_largest_component_restriction_bound_exhaustive():
+    # the docstring's bound for every k <= 3, every k-connected A among V and
+    # two seeded sets of at least k vertices, and every S with |S| < k
+    rng = random.Random(7303)
+    checks = 0
+    for g in connected_graphs(6):
+        for k in range(1, min(3, g.n) + 1):
+            sets = [g.vertex_set]
+            sets += [frozenset(rng.sample(range(g.n), rng.randint(k, g.n))) for _ in range(2)]
+            for a in sets:
+                if not is_k_connected(g, a, k).ok:
+                    continue
+                bound = math.ceil((len(a) // k - 1) / k)
+                for size in range(k):
+                    for s in itertools.combinations(range(g.n), size):
+                        assert len(largest_component_restriction(g, a, s)) >= bound, (g, a, s)
+                        checks += 1
+    assert checks == 5013
+
+
 def test_kconn_after_deletion_complete_graph():
     res = kconn_after_deletion(complete_graph(5), range(5), 3, 1)
     assert res.size == 4
