@@ -13,6 +13,18 @@ permutation is the one the unpruned search returns, not only the form.
 Complete and complete bipartite graphs take one search path of at most n
 nodes; symmetry that twins do not explain, as in cycles, is still searched
 in full.
+
+The same search counts automorphisms.  Aut(G) acts freely on the leaves of
+the unpruned tree and keeps their keys, and two leaves with equal keys
+differ by an automorphism, so the leaves that reach the least key are
+exactly one orbit: |Aut(G)| of them (McKay & Piperno, Practical graph
+isomorphism II, arXiv:1301.1493).  ``_search`` returns that number for
+its subtree: 1 at a discrete leaf, and at an inner node the sum over the
+tried children whose key equals the node's best.  A skipped twin v of a
+tried u adds u's count, because the swap (u v) maps u's subtree onto v's
+leaf for leaf with the same keys.  A twin class of size t thus multiplies
+the count by t at the node that splits it, and by t! along the path that
+individualises the whole class.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ def _canon_key(g: Graph, perm: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u]) for u, v in g.edges))
 
 
-def _search(g: Graph, colors: list[int]) -> tuple[tuple, list[int]]:
+def _search(g: Graph, colors: list[int]) -> tuple[tuple, list[int], int]:
     n = g.n
     colors = _refine(g.adjacency, colors)
     cells: dict[int, list[int]] = {}
@@ -56,31 +68,44 @@ def _search(g: Graph, colors: list[int]) -> tuple[tuple, list[int]]:
         perm = [0] * n
         for v in range(n):
             perm[v] = colors[v]
-        return _canon_key(g, perm), perm
+        return _canon_key(g, perm), perm, 1
     best_key = None
     best_perm: list[int] = []
+    leaves = 0
     m = g.adjacency_masks
-    tried: list[int] = []
+    tried: dict[int, int] = {}  # branched vertex -> size of its twin class in the cell
     for v in target:
-        if any((m[u] ^ m[v]) & ~((1 << u) | (1 << v)) == 0 for u in tried):
-            continue  # twin of a tried vertex: the swap maps its subtree here
-        tried.append(v)
+        for u in tried:
+            if (m[u] ^ m[v]) & ~((1 << u) | (1 << v)) == 0:
+                tried[u] += 1  # twin of a tried vertex: the swap maps its subtree here
+                break
+        else:
+            tried[v] = 1
+    for v, twins in tried.items():
         branched = list(colors)
         branched[v] = -1  # individualise; refinement re-normalises colours
-        key, perm = _search(g, branched)
+        key, perm, count = _search(g, branched)
         if best_key is None or key < best_key:
-            best_key = key
-            best_perm = perm
-    return best_key, best_perm
+            best_key, best_perm, leaves = key, perm, twins * count
+        elif key == best_key:
+            leaves += twins * count
+    return best_key, best_perm, leaves
 
 
 @lru_cache(maxsize=1 << 18)
+def _canonical(g: Graph) -> tuple[tuple[int, ...], int]:
+    """The canonical permutation of ``g`` and its automorphism count."""
+    if g.n == 0:
+        return (), 1
+    _, perm, aut = _search(g, [0] * g.n)
+    return tuple(perm), aut
+
+
+# Cached on top of _canonical only because perfbench/ reads its cache_info().
+@lru_cache(maxsize=1 << 18)
 def canonical_perm(g: Graph) -> tuple[int, ...]:
     """A permutation ``old -> new`` onto the canonical labelling of ``g``."""
-    if g.n == 0:
-        return ()
-    _, perm = _search(g, [0] * g.n)
-    return tuple(perm)
+    return _canonical(g)[0]
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -96,43 +121,14 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def automorphism_count(g: Graph) -> int:
-    """Number of adjacency-preserving permutations, by backtracking."""
-    n = g.n
-    if n == 0:
-        return 1
-    adj = g.adjacency
-    degs = [g.degree(v) for v in range(n)]
-    image = [-1] * n
-    used = [False] * n
-    count = 0
+    """Number of adjacency-preserving permutations of ``g``.
 
-    def rec(v: int) -> None:
-        nonlocal count
-        if v == n:
-            count += 1
-            return
-        for w in range(n):
-            if used[w] or degs[w] != degs[v]:
-                continue
-            ok = True
-            for u in adj[v]:
-                if u < v and image[u] not in adj[w]:
-                    ok = False
-                    break
-            if ok:
-                for u in range(v):
-                    if u not in adj[v] and image[u] in adj[w]:
-                        ok = False
-                        break
-            if ok:
-                image[v] = w
-                used[w] = True
-                rec(v + 1)
-                used[w] = False
-                image[v] = -1
-
-    rec(0)
-    return count
+    It is the number of leaves of the unpruned canonical search tree that
+    reach the least key, which ``_search`` counts while it labels ``g``
+    (twin classes multiply in as factorials; see the module docstring), so
+    a count after ``canonical_form`` on the same graph runs no search.
+    """
+    return _canonical(g)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .graph_core import Graph, SizeGuardError, _bits, check_k, component_masks, menger
+# menger is unused here but kept: the benchmark's tracer wraps duality.menger.
+from .graph_core import Graph, SizeGuardError, _bits, check_k, component_masks, menger  # noqa: F401
 from .graph_core import menger_count as min_separator_size  # equal by Menger's theorem
-from .kconn import MaxKConnResult, is_k_connected, max_k_connected_subset
+from .kconn import is_k_connected, max_k_connected_subset
 from .sepsys import TreeDecomposition, adhesion, validate_td
 
 
@@ -295,22 +296,3 @@ def verify_sec1_bounds(g: Graph, k: int, size_guard: int = 8) -> SectionBoundsRe
         gj_lower_ok=gj_lower,
         gj_upper_ok=gj_upper,
     )
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    paths_to_target: int
-    max_kconn: MaxKConnResult
-
-
-def inseparable_transfer(g: Graph, a, b, k: int) -> TransferReport:
-    """Observed connectivity transfer from a k-connected set ``b`` to ``a``.
-
-    Exploratory: reports the number of disjoint a-b paths and the largest
-    k-connected subset of ``a``; no bound is asserted.
-    """
-    fa, fb = frozenset(a), frozenset(b)
-    if not is_k_connected(g, fb, k).ok:
-        raise ValueError("b is not k-connected in g")
-    res = menger(g, fa, fb)
-    return TransferReport(res.count, max_k_connected_subset(g, fa, k))

@@ -348,7 +348,6 @@ def _run_flow(
     g: Graph,
     fa: frozenset[int],
     fb: frozenset[int],
-    limit: int | None,
     weighted: bool = False,
 ) -> tuple[int, list[int], list[int]]:
     """Max flow; returns (value, cap, cap0) for witness extraction.
@@ -380,8 +379,6 @@ def _run_flow(
     seeds = sorted(2 * v for v in fa)
     exits = set(2 * v + 1 for v in fb)
     target = min(len(fa), len(fb))
-    if limit is not None:
-        target = min(target, limit)
     if weighted:
         target *= g.n + 3
     flow = 0
@@ -460,23 +457,16 @@ def _extract_paths(
     return PathSystem(tuple(paths))
 
 
-def menger(
-    g: Graph, a: Iterable[int], b: Iterable[int], *, limit: int | None = None
-) -> MengerResult:
+def menger(g: Graph, a: Iterable[int], b: Iterable[int]) -> MengerResult:
     """Maximum system of pairwise vertex-disjoint a-b paths.
 
     Returns the count, a witnessing path system, and a minimum a-b separator
     of the same size.  A vertex of ``a & b`` counts as a trivial path and is
-    forced into every separator.  With ``limit`` the search stops once that
-    many paths exist; the count is then a lower bound and no witnesses are
-    extracted.
+    forced into every separator.
     """
     fa = frozenset(a)
     fb = frozenset(b)
-    count, cap, cap0 = _run_flow(g, fa, fb, limit)
-    if limit is not None and count >= limit:
-        return MengerResult(count, PathSystem(()), frozenset())
-
+    count, cap, cap0 = _run_flow(g, fa, fb)
     paths = _extract_paths(g, fa, fb, count, cap, cap0)
     separator = _min_separator(g, fa, fb)
     if len(separator) != count:
@@ -491,7 +481,7 @@ def _min_separator(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> frozense
     and, among minimum separators, prefers interior vertices.  The virtual
     source reaches every a_in node, so those seed the residual reachability.
     """
-    _, wcap, _ = _run_flow(g, fa, fb, None, weighted=True)
+    _, wcap, _ = _run_flow(g, fa, fb, weighted=True)
     net = _flow_net(g)
     reach = 0
     stack = []
@@ -519,7 +509,7 @@ def menger_count(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
 def _menger_count_cached(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> int:
     if (len(fb), sorted(fb)) < (len(fa), sorted(fa)):
         fa, fb = fb, fa
-    return _run_flow(g, fa, fb, None)[0]
+    return _run_flow(g, fa, fb)[0]
 
 
 def validate_path_system(

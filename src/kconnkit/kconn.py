@@ -472,25 +472,3 @@ def largest_component_restriction(
             best_key = key
             best = inter
     return best
-
-
-def kconn_after_deletion(
-    g: Graph, a: Iterable[int], k: int, v: int
-) -> MaxKConnResult:
-    """Largest (k-1)-connected subset of ``a - {v}`` in ``g - v``.
-
-    Exploratory: the size is reported, not bounded.  Requires ``a`` to be
-    k-connected in ``g`` and ``k >= 1``.
-    """
-    fa = frozenset(a)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not is_k_connected(g, fa, k).ok:
-        raise ValueError("a is not k-connected in g")
-    check_vertices(g, (v,))
-    sub, old = g.induced_subgraph(g.vertex_set - {v})
-    idx = {o: i for i, o in enumerate(old)}
-    res = max_k_connected_subset(sub, {idx[w] for w in fa if w != v}, k - 1)
-    if res.vertices is None:
-        return res
-    return MaxKConnResult(res.size, frozenset(old[w] for w in res.vertices))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 # menger_count is unused here but kept: the benchmark's tracer wraps lean.menger_count.
-from .graph_core import Graph, check_k, check_vertices, components, menger, menger_count  # noqa: F401
+from .graph_core import Graph, _min_separator, check_k, check_vertices, components, menger, menger_count  # noqa: F401
 from .kconn import first_failed_pair
 from .sepsys import NestedSeparationSystem, TreeDecomposition, consistent_orientations, part_of
 
@@ -152,8 +152,7 @@ def build_k_lean_td(g: Graph, k: int, max_rounds: int = 10_000) -> TreeDecomposi
 def _split_on_violation(
     g: Graph, td: TreeDecomposition, v: LeanViolation
 ) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
-    res = menger(g, v.z1, v.z2)
-    x = res.separator
+    x = _min_separator(g, v.z1, v.z2)
     # orient the separation so that z1 lies in the a-side
     side_a = set(x)
     for comp in components(g, g.vertex_set - x):

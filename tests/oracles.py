@@ -204,6 +204,46 @@ def unpruned_canonical_perm(g: Graph) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def backtrack_automorphism_count(g: Graph) -> int:
+    """Number of adjacency-preserving permutations, by backtracking."""
+    n = g.n
+    if n == 0:
+        return 1
+    adj = g.adjacency
+    degs = [g.degree(v) for v in range(n)]
+    image = [-1] * n
+    used = [False] * n
+    count = 0
+
+    def rec(v: int) -> None:
+        nonlocal count
+        if v == n:
+            count += 1
+            return
+        for w in range(n):
+            if used[w] or degs[w] != degs[v]:
+                continue
+            ok = True
+            for u in adj[v]:
+                if u < v and image[u] not in adj[w]:
+                    ok = False
+                    break
+            if ok:
+                for u in range(v):
+                    if u not in adj[v] and image[u] in adj[w]:
+                        ok = False
+                        break
+            if ok:
+                image[v] = w
+                used[w] = True
+                rec(v + 1)
+                used[w] = False
+                image[v] = -1
+
+    rec(0)
+    return count
+
+
 def frozenset_min_max_decomposition(
     g: Graph, k: int, cost: Callable[[frozenset[int]], int]
 ) -> tuple[int, TreeDecomposition]:

@@ -14,7 +14,12 @@ from kconnkit.canon import (
 )
 from kconnkit.graph_core import Graph, complete_graph, cycle_graph, path_graph
 from kconnkit.typical_gen import GoodSequence, gen_complete_bipartite, gen_degenerate_frayed
-from oracles import labeled_connected_count, random_graph, unpruned_canonical_perm
+from oracles import (
+    backtrack_automorphism_count,
+    labeled_connected_count,
+    random_graph,
+    unpruned_canonical_perm,
+)
 
 
 def brute_canonical(g: Graph) -> Graph:
@@ -126,24 +131,56 @@ def test_twin_pruning_keeps_the_permutation():
         assert canonical_perm(h) == unpruned_canonical_perm(h), sorted(h.edges)
 
 
-def test_twin_pruning_visits_at_most_n_nodes(monkeypatch):
+_TWIN_CLASS_GRAPHS = (  # (graph, |Aut|)
+    (complete_graph(8), math.factorial(8)),
+    (gen_complete_bipartite(3, 9).graph, math.factorial(3) * math.factorial(9)),
+    (gen_complete_bipartite(4, 20).graph, math.factorial(4) * math.factorial(20)),
+)
+
+
+def _count_search_calls(monkeypatch) -> list[int]:
+    """Wrap ``canon._search``; the returned one-item list counts its calls."""
     search = canon._search
-    calls = 0
+    calls = [0]
 
     def counting(g, colors):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return search(g, colors)
 
     monkeypatch.setattr(canon, "_search", counting)
-    for g in (
-        complete_graph(8),
-        gen_complete_bipartite(3, 9).graph,
-        gen_complete_bipartite(4, 20).graph,
-    ):
-        calls = 0
-        canonical_perm.__wrapped__(g)  # bypass the cache
-        assert 0 < calls <= g.n, (g.n, calls)
+    return calls
+
+
+def test_twin_pruning_visits_at_most_n_nodes(monkeypatch):
+    calls = _count_search_calls(monkeypatch)
+    for g, _ in _TWIN_CLASS_GRAPHS:
+        calls[0] = 0
+        canon._canonical.__wrapped__(g)  # bypass the cache
+        assert 0 < calls[0] <= g.n, (g.n, calls[0])
+
+
+def test_automorphism_count_reuses_the_canonical_search(monkeypatch):
+    # One search of at most n nodes labels the graph and counts |Aut|; the
+    # count that follows canonical_form runs no second search.
+    calls = _count_search_calls(monkeypatch)
+    for g, aut in _TWIN_CLASS_GRAPHS:
+        canon._canonical.cache_clear()
+        canonical_perm.cache_clear()
+        calls[0] = 0
+        canonical_form(g)
+        assert automorphism_count(g) == aut
+        assert 0 < calls[0] <= g.n, (g.n, calls[0])
+
+
+def test_automorphism_count_matches_backtracking():
+    rng = random.Random(8)
+    graphs = list(connected_graphs(7)) + _canon_corpus_families()
+    graphs += [Graph.from_edges(n) for n in range(7)]  # n = 0 and edgeless
+    graphs += [random_graph(rng, rng.randint(1, 9)) for _ in range(400)]
+    assert sum(not g.is_connected() for g in graphs) > 50
+    for g in graphs:
+        h = _relabelled(rng, g)
+        assert automorphism_count(h) == backtrack_automorphism_count(h), (h.n, sorted(h.edges))
 
 
 def test_degree_precheck_skips_the_search(monkeypatch):

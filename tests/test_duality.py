@@ -7,7 +7,6 @@ from kconnkit.canon import connected_graphs
 from kconnkit.duality import (
     _min_max_decomposition,
     check_duality,
-    inseparable_transfer,
     k_tree_width,
     tree_width,
     verify_sec1_bounds,
@@ -230,34 +229,3 @@ def test_sec1_bounds_seeded_sample():
                 assert rep.gj_lower_ok
             if rep.gj_upper_ok is not None:
                 assert rep.gj_upper_ok
-
-
-def test_inseparable_transfer_identity():
-    g = complete_graph(4)
-    rep = inseparable_transfer(g, range(4), range(4), 3)
-    assert rep.paths_to_target == 4
-    assert rep.max_kconn.size == 4
-
-
-def test_inseparable_transfer_disconnected():
-    g = Graph.from_edges(6, list(complete_graph(3).edges) + [(3, 4), (4, 5), (3, 5)])
-    rep = inseparable_transfer(g, {3, 4, 5}, {0, 1, 2}, 2)
-    assert rep.paths_to_target == 0
-
-
-def test_inseparable_transfer_pendant_bipartite():
-    # pendants attached to distinct core vertices of K(3, 6)
-    base = complete_bipartite_graph(3, 6)
-    extra = [(3 + i, 9 + i) for i in range(6)]
-    g = Graph.from_edges(15, list(base.edges) + extra)
-    pendants = frozenset(range(9, 15))
-    core = frozenset(range(3, 9))
-    rep = inseparable_transfer(g, pendants, core, 3)
-    assert rep.paths_to_target == 6
-    assert rep.max_kconn.size == 6
-    assert rep.max_kconn.vertices == pendants
-
-
-def test_inseparable_transfer_requires_k_connected_b():
-    with pytest.raises(ValueError):
-        inseparable_transfer(path_graph(5), {0}, {2, 3, 4}, 2)

@@ -128,12 +128,6 @@ def test_menger_matches_brute_force_on_seeded_instances():
         assert a & b <= res.separator
 
 
-def test_menger_limit_short_circuits():
-    g = complete_bipartite_graph(4, 4)
-    res = menger(g, {0, 1, 2, 3}, {4, 5, 6, 7}, limit=2)
-    assert res.count == 2
-
-
 def test_menger_is_deterministic():
     rng = random.Random(7)
     g = random_graph(rng, 7)

@@ -19,7 +19,6 @@ from kconnkit.kconn import (
     PathWitness,
     StarWitness,
     is_k_connected,
-    kconn_after_deletion,
     largest_component_restriction,
     max_k_connected_subset,
     star_or_path,
@@ -101,17 +100,15 @@ def test_other_entry_points_reject_vertices_outside_the_graph():
         largest_component_restriction(g, {0, 1}, {7})
     with pytest.raises(ValueError, match="vertex 5 outside"):
         star_or_path(g, {5}, 1)
-    with pytest.raises(ValueError, match="vertex 5 outside"):
-        kconn_after_deletion(g, {0, 1}, 1, 5)
 
 
 def test_failing_pair_flow_runs_once(monkeypatch):
     runs = []
     real_run_flow = graph_core._run_flow
 
-    def counting_run_flow(g, fa, fb, limit, weighted=False):
+    def counting_run_flow(g, fa, fb, weighted=False):
         runs.append((fa, fb, weighted))
-        return real_run_flow(g, fa, fb, limit, weighted)
+        return real_run_flow(g, fa, fb, weighted)
 
     monkeypatch.setattr(graph_core, "_run_flow", counting_run_flow)
     graph_core._menger_count_cached.cache_clear()
@@ -132,9 +129,9 @@ def test_separator_branch_runs_no_pair_flow(monkeypatch):
     flows = []
     real_run_flow = graph_core._run_flow
 
-    def counting_run_flow(g, fa, fb, limit, weighted=False):
+    def counting_run_flow(g, fa, fb, weighted=False):
         flows.append(weighted)
-        return real_run_flow(g, fa, fb, limit, weighted)
+        return real_run_flow(g, fa, fb, weighted)
 
     levels = []  # (s, times the rest of the level was entered)
     real_scan = kconn._smallest_violating_order
@@ -424,31 +421,3 @@ def test_largest_component_restriction_bound_exhaustive():
                         assert len(largest_component_restriction(g, a, s)) >= bound, (g, a, s)
                         checks += 1
     assert checks == 5013
-
-
-def test_kconn_after_deletion_complete_graph():
-    res = kconn_after_deletion(complete_graph(5), range(5), 3, 1)
-    assert res.size == 4
-    assert res.vertices == frozenset({0, 2, 3, 4})
-
-
-def test_kconn_after_deletion_bipartite_centre():
-    g = complete_bipartite_graph(3, 6)
-    core = frozenset(range(3, 9))
-    res = kconn_after_deletion(g, core, 3, 0)
-    assert res.size == 6
-    assert res.vertices == core
-
-
-def test_kconn_after_deletion_isolated_vertex_case():
-    # deleting a vertex outside the witnessing structure keeps all of a
-    g = Graph.from_edges(6, list(complete_graph(5).edges) + [(0, 5)])
-    res = kconn_after_deletion(g, range(5), 3, 5)
-    assert res.size == 5
-    rechecked, _ = g.induced_subgraph(range(5))
-    assert is_k_connected(rechecked, range(5), 2).ok
-
-
-def test_kconn_after_deletion_requires_k_connected():
-    with pytest.raises(ValueError):
-        kconn_after_deletion(path_graph(4), range(4), 2, 0)
