@@ -29,7 +29,6 @@ individualises the whole class.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterator
 

@@ -36,7 +36,7 @@ from typing import Callable
 from .graph_core import Graph, SizeGuardError, _bits, check_k, component_masks, menger  # noqa: F401
 from .graph_core import menger_count as min_separator_size  # equal by Menger's theorem
 from .kconn import is_k_connected, max_k_connected_subset
-from .sepsys import TreeDecomposition, adhesion, validate_td
+from .sepsys import TreeDecomposition, validate_td
 
 
 # ---------------------------------------------------------------------------

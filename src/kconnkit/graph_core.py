@@ -176,11 +176,12 @@ def _mask_of(vs: Iterable[int]) -> int:
     return m
 
 
-def reachable_mask(masks: Sequence[int], start: int, allowed: int) -> int:
-    """All vertices reachable from the ``start`` mask inside ``allowed``."""
+def reachable_mask(masks: Sequence[int], start: int, allowed: int, cover: int = -1) -> int:
+    """All vertices reachable from the ``start`` mask inside ``allowed``; the
+    search stops early, with a part of them, once it holds all of ``cover``."""
     comp = start & allowed
     frontier = comp
-    while frontier:
+    while frontier and cover & ~comp:
         nxt = 0
         m = frontier
         while m:

@@ -8,23 +8,21 @@ iff no separation (C, D) of order s < top has more than s vertices of ``p1``
 in C and more than s of ``p2`` in D.
 
 :func:`first_failed_pair`, the one demand scan of the package, decides this
-either by enumerating every separator of fewer than ``top`` vertices or by
-running a flow for every pair of subsets, whichever a cost estimate says is
-cheaper.  Both return the first failing pair, ranked ascending in ``l`` and
-then lexicographically.  The separator scan runs no flow: its least violating
-order s fixes ``l = s + 1`` and the failing pair's ``s`` paths, and bitmask
-tests against ``z1 & z2`` (route a) or the order-s separators (route b)
-decide each pair.  Only the witness separator of :func:`is_k_connected`
-comes from a flow.
+by enumerating separators of fewer than ``top`` vertices, and returns the
+first failing pair, ranked ascending in ``l`` and then lexicographically.  It
+runs no flow: the least violating order s fixes ``l = s + 1`` and the
+failing pair's ``s`` paths, and bitmask tests against ``z1 & z2`` (route a)
+or the order-s separators (route b) decide each pair.  Only the witness
+separator of :func:`is_k_connected` comes from a flow.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# menger_count is unused here but kept: the benchmark's tracer wraps kconn.menger_count.
 from .graph_core import (
     Graph,
     _bits,
@@ -33,7 +31,7 @@ from .graph_core import (
     check_vertices,
     components,
     menger,
-    menger_count,
+    menger_count,  # noqa: F401
     reachable_mask,
 )
 
@@ -52,13 +50,6 @@ class KConnVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-# The weight of one separator visit against one subset-pair flow.  Timing
-# both scans on random connected graphs (n = 10..40, p = 0.1..0.4,
-# |a| = 4..10, k = 2..4), every weight from 0.015 to 0.02 picked the cheaper
-# scan on all 90 measured shapes (BENCH_3.json, "crossover").
-_SCAN_PER_FLOW = 0.02
 
 
 def is_k_connected(g: Graph, a: Iterable[int], k: int) -> KConnVerdict:
@@ -89,31 +80,21 @@ def first_failed_pair(
     z1-z2 paths, or ``None``.  When ``p1 == p2`` only pairs with ``z1 < z2``
     are scanned.  Every vertex must lie in ``g``.
 
-    The pair scan runs about ``sum C(len(p1), l) * C(len(p2), l)`` flows.  The
-    separator scan visits ``sum_{s<top} C(g.n, s)`` sets and runs no flow: its
-    smallest violating order s leaves only the pairs of size ``s + 1``, and a
-    pair fails iff some X of at most s vertices separates it.  Such an X is a
-    violating separator, so ``len(X) == s`` by minimality and ``paths == s``.
-    If ``z1 & z2`` has s vertices it is X, and one reachability test decides
-    the pair (route a); otherwise the pair fails iff some violating separator
-    of order s leaves no component meeting both ``z1 - S`` and ``z2 - S``
-    (route b), the rest of that level being enumerated only while no
-    separator found so far splits the pair.
+    No flow runs.  The smallest violating order s leaves only the pairs of
+    size ``s + 1``, and a pair fails iff some X of at most s vertices
+    separates it.  Such an X is a violating separator, so ``len(X) == s`` by
+    minimality and ``paths == s``.  If ``z1 & z2`` has s vertices it is X,
+    and one reachability test decides the pair (route a); otherwise the pair
+    fails iff some violating separator of order s leaves no component meeting
+    both ``z1 - S`` and ``z2 - S`` (route b), the rest of that level being
+    enumerated only while no separator found so far splits the pair.  A level
+    is enumerated T-then-U (see :func:`_violating_separators`), which cannot
+    change the witness: each pair, in its fixed order, asks only whether some
+    separator of level s splits it.
     """
-    same = p1 == p2
     top = min(top, len(p1), len(p2))
-    pairs = sum(math.comb(len(p1), ell) * math.comb(len(p2), ell) for ell in range(1, top + 1))
-    if _SCAN_PER_FLOW * sum(math.comb(g.n, s) for s in range(top)) < pairs / (2 if same else 1):
-        level = _smallest_violating_order(g, p1, p2, top)
-        return None if level is None else _first_split_pair(g, p1, p2, *level)
-    for ell in range(1, top + 1):
-        left = [frozenset(z) for z in itertools.combinations(sorted(p1), ell)]
-        right = left if same else [frozenset(z) for z in itertools.combinations(sorted(p2), ell)]
-        for i, z1 in enumerate(left):
-            for z2 in right[i + 1 :] if same else right:
-                if z1 != z2 and (paths := menger_count(g, z1, z2)) < ell:
-                    return z1, z2, paths
-    return None
+    level = _smallest_violating_order(g, p1, p2, top)
+    return None if level is None else _first_split_pair(g, p1, p2, *level)
 
 
 _Separator = list[int]  # S given by the components of g - S that meet p1 | p2, as masks
@@ -128,7 +109,7 @@ def _first_split_pair(
     level: Iterator[_Separator],
 ) -> tuple[frozenset[int], frozenset[int], int]:
     """The first pair of size ``s + 1`` that a separator of order s splits,
-    in the pair scan's order (see :func:`first_failed_pair`)."""
+    in the order of :func:`first_failed_pair`."""
     same = p1 == p2
     masks = g.adjacency_masks
     full = (1 << g.n) - 1
@@ -182,45 +163,58 @@ def _smallest_violating_order(
 def _violating_separators(
     g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
 ) -> Iterator[_Separator]:
-    """Each separator S of s vertices, in combination order, of a separation
-    (C, D) with more than s vertices of ``p1`` in C and more than s of ``p2``
-    in D, as the components of ``g - S`` that meet ``p1 | p2``.
+    """Each separator S of s vertices of a separation (C, D) with more than s
+    vertices of ``p1`` in C and more than s of ``p2`` in D, as the components
+    of ``g - S`` that meet ``p1 | p2``.
 
-    A subset sum groups the components of ``g - S`` that meet ``p1 | p2``.  A
-    component with ``c1`` vertices of ``p1`` and ``c2`` of ``p2`` shifts its
-    bitset by ``c1 * w + c2``, ``w = len(p2 - S) + 1``, so bit ``a * w + b`` is
-    a side C with ``a`` and ``b`` of them outside S.
+    S is T, its part inside ``p1 | p2``, plus U outside it: ``t = len(T)``
+    descending, then T and U in combination order.  U changes neither what C
+    and D need nor ``(p1 | p2) - S``, so the count prefilter runs once per T;
+    it implies ``t >= 2s + 2 - len(p1 | p2)``, which is exact when ``p1 ==
+    p2``.  A subset sum groups the components of ``g - S`` that meet ``p1 |
+    p2``.  One with ``c1`` vertices of ``p1`` and ``c2`` of ``p2`` shifts the
+    bitset by ``c1 * w + c2``, ``w = len(p2 - S) + 1``, so bit ``a * w + b``
+    is a side C with ``a`` and ``b`` of them outside S.
     """
     masks = g.adjacency_masks
     full = (1 << g.n) - 1
     m1 = sum(1 << v for v in p1)
     m2 = sum(1 << v for v in p2)
     both = m1 | m2
-    for sep in itertools.combinations([1 << v for v in range(g.n)], s):
-        smask = sum(sep)
-        rest = both & ~smask
-        # C needs need1 vertices of p1 outside S, D needs need2 of p2
-        need1 = s + 1 - (m1 & smask).bit_count()
-        need2 = s + 1 - (m2 & smask).bit_count()
-        if rest.bit_count() < need1 + need2:
-            continue
-        allowed = full & ~smask
-        comp = reachable_mask(masks, rest & -rest, allowed)
-        if not rest & ~comp:
-            continue  # one component: the other side has no vertex outside S
-        comps = [comp]
-        rest &= ~comp
-        while rest:
-            comps.append(reachable_mask(masks, rest & -rest, allowed))
-            rest &= ~comps[-1]
-        w = len(p2) - s + need2  # len(p2 - S) + 1
-        sums = 1
-        for comp in comps:
-            sums |= sums << ((comp & m1).bit_count() * w + (comp & m2).bit_count())
-        # a side C with a >= need1 (the shift) leaving D need2 (the low bits)
-        fields = ((1 << w * (len(p1) - s)) - 1) // ((1 << w) - 1)
-        if (sums >> need1 * w) & fields * ((1 << (len(p2) - s)) - 1):
-            yield comps
+    bits = [1 << v for v in range(g.n)] if s else []  # s = 0 needs no lists
+    inside = [b for b in bits if b & both]
+    outside = [b for b in bits if not b & both]
+    low = max(2 * s + 2 - both.bit_count(), s - len(outside), 0)
+    for t in range(min(s, len(inside)), low - 1, -1):
+        unions = None
+        for tsep in itertools.combinations(inside, t):
+            tmask = sum(tsep)
+            rest = both & ~tmask
+            # C needs need1 vertices of p1 outside S, D needs need2 of p2
+            need1 = s + 1 - (m1 & tmask).bit_count()
+            need2 = s + 1 - (m2 & tmask).bit_count()
+            if rest.bit_count() < need1 + need2:
+                continue
+            if unions is None:
+                unions = list(map(sum, itertools.combinations(outside, s - t)))
+            for umask in unions:
+                allowed = full & ~(tmask | umask)
+                comp = reachable_mask(masks, rest & -rest, allowed, rest)  # stops at all of rest
+                if not rest & ~comp:
+                    continue  # one component: the other side has no vertex outside S
+                comps = [comp]
+                left = rest & ~comp
+                while left:
+                    comps.append(reachable_mask(masks, left & -left, allowed))
+                    left &= ~comps[-1]
+                w = len(p2) - s + need2  # len(p2 - S) + 1
+                sums = 1
+                for comp in comps:
+                    sums |= sums << ((comp & m1).bit_count() * w + (comp & m2).bit_count())
+                # a side C with a >= need1 (the shift) leaving D need2 (the low bits)
+                fields = ((1 << w * (len(p1) - s)) - 1) // ((1 << w) - 1)
+                if (sums >> need1 * w) & fields * ((1 << (len(p2) - s)) - 1):
+                    yield comps
 
 
 @dataclass(frozen=True)

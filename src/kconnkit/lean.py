@@ -7,8 +7,7 @@ of the decomposition tree between the parts inducing a separation smaller
 than the demand.  Demands of size up to ``top`` between parts P1 and P2 hold
 iff no separation (C, D) of order s < top has more than s vertices of P1 in C
 and more than s of P2 in D.  :func:`kconnkit.kconn.first_failed_pair` tests
-this by a separator scan without flows, or a flow per demand on hosts where
-that is cheaper, and returns the first failed demand.
+this by a separator scan without flows and returns the first failed demand.
 
 The builder starts from the trivial decomposition and resolves violations
 by splitting along a minimum separator: the tree is doubled into an A-copy
@@ -132,7 +131,11 @@ def is_k_lean_nss(n: NestedSeparationSystem, k: int):
 # Construction
 
 
-def build_k_lean_td(g: Graph, k: int, max_rounds: int = 10_000) -> TreeDecomposition:
+# The most splits build_k_lean_td makes before it gives up.
+_MAX_ROUNDS = 10_000
+
+
+def build_k_lean_td(g: Graph, k: int) -> TreeDecomposition:
     """A k-lean tree-decomposition of ``g`` by iterative refinement."""
     parts: list[frozenset[int]] = [g.vertex_set]
     edges: list[tuple[int, int]] = []
@@ -143,8 +146,8 @@ def build_k_lean_td(g: Graph, k: int, max_rounds: int = 10_000) -> TreeDecomposi
         if verdict is True:
             return td
         rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError("k-lean refinement did not converge")
+        if rounds > _MAX_ROUNDS:
+            raise RuntimeError(f"k-lean refinement exceeded _MAX_ROUNDS = {_MAX_ROUNDS} splits")
         parts, edges = _split_on_violation(g, td, verdict)
         parts, edges = _normalize(parts, edges)
 

@@ -18,6 +18,7 @@ from kconnkit.graph_core import (
     menger,
     menger_count,
     path_graph,
+    reachable_mask,
     validate_path_system,
 )
 from kconnkit.canon import connected_graphs
@@ -60,6 +61,21 @@ def test_components_within_matches_induced_subgraph():
             sub, old = g.induced_subgraph(keep)
             expected = [frozenset(old[v] for v in c) for c in components(sub)]
             assert components(g, keep) == expected
+
+
+def test_reachable_mask_stops_once_it_holds_cover():
+    assert reachable_mask(path_graph(6).adjacency_masks, 0b1, 0b111111, 0b100) == 0b111
+    rng = random.Random(11)
+    for g in connected_graphs(6):
+        for _ in range(4):
+            start = 1 << rng.randrange(g.n)
+            allowed, cover = rng.getrandbits(g.n), rng.getrandbits(g.n)
+            full = reachable_mask(g.adjacency_masks, start, allowed)
+            got = reachable_mask(g.adjacency_masks, start, allowed, cover)
+            if cover & ~full:
+                assert got == full
+            else:
+                assert not got & ~full and not cover & ~got
 
 
 def test_vertex_arguments_outside_the_graph_are_rejected():

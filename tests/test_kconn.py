@@ -53,34 +53,25 @@ def test_complete_bipartite_core_is_k_connected():
     assert is_k_connected(small, small.vertex_set, 4).ok
 
 
-def test_is_k_connected_matches_pair_scan(monkeypatch):
-    """Same verdict and witness as the pair scan, on hosts where the cost
-    estimate picks the separator scan and on hosts where it picks the pairs."""
-    scans = []
-    real_scan = kconn._smallest_violating_order
-
-    def counting_scan(*args):
-        scans.append(args)
-        return real_scan(*args)
-
-    monkeypatch.setattr(kconn, "_smallest_violating_order", counting_scan)
+def test_is_k_connected_matches_pair_scan():
+    """Same verdict and witness as the pair scan, on small hosts and on large
+    sparse hosts with small sets."""
     rng = random.Random(3262)
     cases = []
     for g in connected_graphs(6):
         cases.append((g, g.vertex_set))
         cases.append((g, frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))))
-    # large sparse hosts with small sets, where the pair scan is cheaper
+    # large sparse hosts with small sets
     for _ in range(12):
         g = random_connected_graph(rng, rng.randint(25, 40), rng.choice((0.02, 0.08)))
         cases.append((g, frozenset(rng.sample(range(g.n), rng.randint(3, 5)))))
-    seen = collections.Counter()  # (separator scan ran, verdict)
+    verdicts = collections.Counter()
     for g, a in cases:
         for k in range(len(a) + 1):
-            before = len(scans)
             got = is_k_connected(g, a, k)
             assert got == pair_scan_is_k_connected(g, a, k), (g, a, k)
-            seen[len(scans) > before, got.ok] += 1
-    assert len(seen) == 4, seen
+            verdicts[got.ok] += 1
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def test_vertices_outside_the_graph_are_rejected():
@@ -119,13 +110,14 @@ def test_failing_pair_flow_runs_once(monkeypatch):
 
 
 def test_separator_branch_runs_no_pair_flow(monkeypatch):
-    """The separator branch decides every pair by bitmask tests: a failing
-    pair has exactly l - 1 disjoint paths, no flow runs, and both routes
-    (the separator is z1 & z2, or one of the order-s separators) and the lazy
-    rest of a level are exercised.  The branch raises AssertionError if a
-    violating separation yields no failing pair.  On cycles and paths every
-    pair before the witness shares s vertices, so route a alone reaches the
-    witness and the rest of the level is never entered."""
+    """The kernel decides every pair by bitmask tests: a failing pair has
+    exactly l - 1 disjoint paths, no flow runs, and both routes (the
+    separator is z1 & z2, or one of the order-s separators) and the lazy rest
+    of a level are exercised.  The cases include large sparse hosts with
+    small sets.  The kernel raises AssertionError if a violating separation
+    yields no failing pair.  On cycles and paths every pair before the
+    witness shares s vertices, so route a alone reaches the witness and the
+    rest of the level is never entered."""
     flows = []
     real_run_flow = graph_core._run_flow
 
@@ -161,13 +153,16 @@ def test_separator_branch_runs_no_pair_flow(monkeypatch):
     square = Graph.from_edges(16, [(i, i + d) for d in (1, 2) for i in range(16 - d)])
     for g in (cycle_graph(12), cycle_graph(16), path_graph(16), square):
         cases += [(g, g.vertex_set, k, g is not square) for k in range(1, 5)]
+    for _ in range(12):
+        g = random_connected_graph(rng, rng.randint(25, 60), rng.choice((0.02, 0.05, 0.1)))
+        a = frozenset(rng.sample(range(g.n), rng.randint(3, 6)))
+        cases += [(g, a, k, False) for k in range(1, min(4, len(a)) + 1)]
     routes = collections.Counter()
     for g, a, k, route_a_only in cases:
         del levels[:]
+        graph_core._menger_count_cached.cache_clear()  # a cached flow would hide a pair flow
         before = len(flows)
         got = kconn.first_failed_pair(g, a, a, k)
-        if not levels:
-            continue  # the cost estimate chose the pair scan
         assert len(flows) == before, (g, a, k)
         if got is None:
             assert levels == [None]
