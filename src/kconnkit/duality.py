@@ -38,6 +38,11 @@ from .graph_core import menger_count as min_separator_size  # equal by Menger's 
 from .kconn import is_k_connected, max_k_connected_subset
 from .sepsys import TreeDecomposition, validate_td
 
+# Size guards: the most vertices k_tree_width, check_duality and
+# verify_sec1_bounds accept (their decomposition search is exhaustive), and
+# the most tree_width's DP over all 2^n vertex subsets accepts.
+_MAX_EXACT_N = 8
+_MAX_TREE_WIDTH_N = 10
 
 # ---------------------------------------------------------------------------
 # Exact min-max search over adhesion-bounded decompositions
@@ -137,18 +142,18 @@ def _min_max_decomposition(
     return value, td
 
 
-def k_tree_width(g: Graph, k: int, size_guard: int = 8) -> int:
+def k_tree_width(g: Graph, k: int) -> int:
     """Minimum over adhesion-<k tree-decompositions of the largest part size."""
     check_k(k)
-    if g.n > size_guard:
-        raise SizeGuardError(f"k_tree_width exact search limited to n <= {size_guard}")
+    if g.n > _MAX_EXACT_N:
+        raise SizeGuardError(f"k_tree_width exact search limited to n <= _MAX_EXACT_N = {_MAX_EXACT_N}")
     value, td = _min_max_decomposition(g, k, len)
     if not validate_td(g, td) or any(len(s) >= k for s in td.adhesion_sets()):
         raise AssertionError("witness decomposition failed validation")
     return value
 
 
-def tree_width(g: Graph, size_guard: int = 10) -> int:
+def tree_width(g: Graph) -> int:
     """Exact tree-width via the elimination-ordering subset DP.
 
     ``f[S]`` is the least width of an order that eliminates S first.
@@ -158,8 +163,10 @@ def tree_width(g: Graph, size_guard: int = 10) -> int:
     of G[S] are found once, with their neighbourhoods, and ``f[S + v]`` is
     relaxed for every v outside S.
     """
-    if g.n > size_guard:
-        raise SizeGuardError(f"tree_width exact search limited to n <= {size_guard}")
+    if g.n > _MAX_TREE_WIDTH_N:
+        raise SizeGuardError(
+            f"tree_width exact search limited to n <= _MAX_TREE_WIDTH_N = {_MAX_TREE_WIDTH_N}"
+        )
     n = g.n
     if n == 0:
         return -1
@@ -215,9 +222,7 @@ class DualityReport:
     best_td: TreeDecomposition
 
 
-def check_duality(
-    g: Graph, a, k: int, m: int, size_guard: int = 8
-) -> DualityReport:
+def check_duality(g: Graph, a, k: int, m: int) -> DualityReport:
     """Search both sides of the duality and report verified certificates.
 
     The set certificate is a k-connected subset of ``a`` of size at least m;
@@ -225,8 +230,8 @@ def check_duality(
     parts can all be separated from ``a`` by fewer than m vertices.  Both
     searches are exhaustive; neither side is inferred from the other.
     """
-    if g.n > size_guard:
-        raise SizeGuardError(f"check_duality limited to n <= {size_guard}")
+    if g.n > _MAX_EXACT_N:
+        raise SizeGuardError(f"check_duality limited to n <= _MAX_EXACT_N = {_MAX_EXACT_N}")
     if m < k:
         raise ValueError("m must be at least k")
     fa = frozenset(a)
@@ -244,8 +249,8 @@ def check_duality(
         k=k,
         m=m,
         max_kconn=subset.size,
-        ktw=k_tree_width(g, k, size_guard),
-        tw=tree_width(g, max(size_guard, 10)),
+        ktw=k_tree_width(g, k),
+        tw=tree_width(g),
         set_certificate=set_cert,
         td_certificate=td_cert,
         separability=separability,
@@ -270,13 +275,13 @@ class SectionBoundsReport:
     gj_upper_ok: bool | None  # s' <= C(w+1, k-1)(k-1) (when s' >= k and k >= 2)
 
 
-def verify_sec1_bounds(g: Graph, k: int, size_guard: int = 8) -> SectionBoundsReport:
+def verify_sec1_bounds(g: Graph, k: int) -> SectionBoundsReport:
     """Evaluate the two classical connectivity/width bounds on one graph."""
-    if g.n > size_guard:
-        raise SizeGuardError(f"verify_sec1_bounds limited to n <= {size_guard}")
+    if g.n > _MAX_EXACT_N:
+        raise SizeGuardError(f"verify_sec1_bounds limited to n <= _MAX_EXACT_N = {_MAX_EXACT_N}")
     s_big = max_k_connected_subset(g, g.vertex_set, k + 1).size
     s_prime = max_k_connected_subset(g, g.vertex_set, k).size
-    w = k_tree_width(g, k, size_guard)
+    w = k_tree_width(g, k)
     tw = tree_width(g)
     djgt_lower = (s_big < 3 * k) or (tw >= k)
     djgt_upper = (s_big >= 3 * k) or (tw < 4 * k)

@@ -287,6 +287,12 @@ def is_separation(g: Graph, s: Separation) -> bool:
 # directly as a minimum vertex separator.  Augmentation is Edmonds-Karp with
 # neighbours scanned in a fixed ascending order, so witnesses are
 # reproducible.
+#
+# A search confined to part of the graph passes the vertex mask ``within``:
+# a vertex outside it gets split-arc capacity 0, so no path enters it.  The
+# residual search may step onto such a vertex's in-node but goes no further,
+# and the arcs among the other vertices keep the induced subgraph's order, so
+# the flow and its paths are the induced subgraph's, in the host's ids.
 
 
 @dataclass(frozen=True)
@@ -350,12 +356,14 @@ def _run_flow(
     fa: frozenset[int],
     fb: frozenset[int],
     weighted: bool = False,
+    within: int | None = None,
 ) -> tuple[int, list[int], list[int]]:
     """Max flow; returns (value, cap, cap0) for witness extraction.
 
     In weighted mode split arcs carry K for interior vertices and K+1 for
     vertices of ``a | b``, so the min cut is a minimum separator preferring
-    interior vertices among equally small ones.  Every flow entry point
+    interior vertices among equally small ones.  Paths stay inside the
+    vertex mask ``within`` (everywhere by default).  Every flow entry point
     passes through here, so this is where vertex ids are range-checked.
     """
     check_vertices(g, fa | fb)
@@ -376,6 +384,10 @@ def _run_flow(
     else:
         cap = net.cap0.copy()
         cap0 = net.cap0
+    if within is not None:
+        cap0 = cap0.copy()
+        for v in _bits(((1 << g.n) - 1) & ~within):
+            cap[2 * v] = cap0[2 * v] = 0
 
     seeds = sorted(2 * v for v in fa)
     exits = set(2 * v + 1 for v in fb)
@@ -467,12 +479,19 @@ def menger(g: Graph, a: Iterable[int], b: Iterable[int]) -> MengerResult:
     """
     fa = frozenset(a)
     fb = frozenset(b)
-    count, cap, cap0 = _run_flow(g, fa, fb)
-    paths = _extract_paths(g, fa, fb, count, cap, cap0)
+    paths = _disjoint_paths(g, fa, fb)
     separator = _min_separator(g, fa, fb)
-    if len(separator) != count:
+    if len(separator) != len(paths):
         raise AssertionError("mincut size does not match maxflow")
-    return MengerResult(count, paths, separator)
+    return MengerResult(len(paths), paths, separator)
+
+
+def _disjoint_paths(
+    g: Graph, fa: frozenset[int], fb: frozenset[int], within: int | None = None
+) -> PathSystem:
+    """The path system of :func:`menger` in ``g[within]``, in ``g``'s ids."""
+    count, cap, cap0 = _run_flow(g, fa, fb, within=within)
+    return _extract_paths(g, fa, fb, count, cap, cap0)
 
 
 def _min_separator(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> frozenset[int]:

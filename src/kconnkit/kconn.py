@@ -22,15 +22,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-# menger_count is unused here but kept: the benchmark's tracer wraps kconn.menger_count.
+# menger and menger_count are unused here but kept: the benchmark's tracer
+# wraps kconn.menger and kconn.menger_count.
 from .graph_core import (
     Graph,
     _bits,
+    _disjoint_paths,
     _min_separator,
     check_k,
     check_vertices,
     components,
-    menger,
+    menger,  # noqa: F401
     menger_count,  # noqa: F401
     reachable_mask,
 )
@@ -278,11 +280,13 @@ def star_or_path(
     branches yields a star, otherwise the best u-path of the tree is taken.
     If the tree recipe finds neither, an exact search over the whole graph
     settles existence, so ``None`` really means neither structure exists.
-    Success is guaranteed for ``len(u) >= m ** m``.
+    Success is guaranteed for ``len(u) >= m ** m``.  Requires ``m >= 1``.
     """
     fu = check_vertices(g, u)
     if not fu:
         raise ValueError("u must be non-empty")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     comp = next(c for c in components(g) if next(iter(fu)) in c)
     if not fu <= comp:
         raise ValueError("u spans multiple components")
@@ -404,18 +408,14 @@ def _exact_star_or_path(
     g: Graph, fu: frozenset[int], m: int
 ) -> StarWitness | PathWitness | None:
     # star: legs at c are disjoint N(c)-u paths in g - c
+    full = (1 << g.n) - 1
     for c in sorted(g.vertices):
         nbrs = g.neighbors(c)
         if len(nbrs) < m:
             continue
-        sub, old = g.induced_subgraph(g.vertex_set - {c})
-        idx = {o: i for i, o in enumerate(old)}
-        res = menger(sub, {idx[v] for v in nbrs}, {idx[v] for v in fu if v != c})
-        if res.count >= m:
-            legs = tuple(
-                (c,) + tuple(old[v] for v in p) for p in res.paths.paths[:m]
-            )
-            return StarWitness(c, legs)
+        legs = _disjoint_paths(g, nbrs, fu - {c}, within=full & ~(1 << c)).paths
+        if len(legs) >= m:
+            return StarWitness(c, tuple((c,) + p for p in legs[:m]))
     # path: DFS over simple paths, pruned by remaining u supply
     target = m
     found: list[tuple[int, ...]] = []

@@ -22,10 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-# menger_count is unused here but kept: the benchmark's tracer wraps lean.menger_count.
-from .graph_core import Graph, _min_separator, check_k, check_vertices, components, menger, menger_count  # noqa: F401
+# menger and menger_count are unused here but kept: the benchmark's tracer
+# wraps lean.menger and lean.menger_count.
+from .graph_core import Graph, _bits, _disjoint_paths, _mask_of, _min_separator, check_k
+from .graph_core import check_vertices, reachable_mask
+from .graph_core import menger, menger_count  # noqa: F401
 from .kconn import first_failed_pair
 from .sepsys import NestedSeparationSystem, TreeDecomposition, consistent_orientations, part_of
+from .sepsys import tree_edge_sides
 
 
 @dataclass(frozen=True)
@@ -41,24 +45,6 @@ class LeanViolation:
 
     def __bool__(self) -> bool:
         return False
-
-
-def _min_path_adhesion(td: TreeDecomposition, t1: int, t2: int) -> int | None:
-    """Smallest adhesion set size along the t1-t2 tree path; None if t1 == t2."""
-    if t1 == t2:
-        return None
-    prev = {t1: t1}
-    queue = [t1]
-    for t in queue:
-        for w in td.tree.neighbors(t):
-            if w not in prev:
-                prev[w] = t
-                queue.append(w)
-    sizes = []
-    while t2 != t1:
-        sizes.append(len(td.parts[t2] & td.parts[prev[t2]]))
-        t2 = prev[t2]
-    return min(sizes)
 
 
 def _first_violation(
@@ -96,9 +82,13 @@ def is_k_lean_td(g: Graph, td: TreeDecomposition, k: int):
     for s in td.adhesion_sets():
         if len(s) >= k:
             raise ValueError(f"adhesion set {sorted(s)} has size >= k={k}")
-    violation = _first_violation(
-        g, list(td.parts), k, lambda t1, t2: _min_path_adhesion(td, t1, t2)
-    )
+    # an edge lies on the t1-t2 tree path iff exactly one of t1, t2 is on u's side
+    cuts = [(side, len(td.parts[u] & td.parts[w])) for u, w, side in tree_edge_sides(td.tree)]
+
+    def cut_order(t1: int, t2: int) -> int | None:
+        return min((size for side, size in cuts if (side >> t1 ^ side >> t2) & 1), default=None)
+
+    violation = _first_violation(g, list(td.parts), k, cut_order)
     return True if violation is None else violation
 
 
@@ -157,15 +147,15 @@ def _split_on_violation(
 ) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
     x = _min_separator(g, v.z1, v.z2)
     # orient the separation so that z1 lies in the a-side
-    side_a = set(x)
-    for comp in components(g, g.vertex_set - x):
-        if comp & (v.z1 - x):
-            side_a |= comp
-    a = frozenset(side_a)
-    b = (g.vertex_set - a) | x
+    x_mask = _mask_of(x)
+    rest = ((1 << g.n) - 1) & ~x_mask
+    a_mask = reachable_mask(g.adjacency_masks, _mask_of(v.z1) & rest, rest) | x_mask
+    b_mask = (rest & ~a_mask) | x_mask
+    a = frozenset(_bits(a_mask))
+    b = frozenset(_bits(b_mask))
 
-    p_paths = _endpoint_paths(g, a, v.z1, x, start_in_x=False)
-    q_paths = _endpoint_paths(g, b, x, v.z2, start_in_x=True)
+    p_paths = _endpoint_paths(g, a_mask, v.z1, x, start_in_x=False)
+    q_paths = _endpoint_paths(g, b_mask, x, v.z2, start_in_x=True)
     if set(p_paths) != set(x) or set(q_paths) != set(x):
         raise AssertionError("witness path systems must hit every separator vertex")
 
@@ -184,19 +174,13 @@ def _split_on_violation(
 
 
 def _endpoint_paths(
-    g: Graph, side: frozenset[int], src: frozenset[int], dst: frozenset[int], start_in_x: bool
+    g: Graph, side: int, src: frozenset[int], dst: frozenset[int], start_in_x: bool
 ) -> dict[int, frozenset[int]]:
-    """Disjoint path system inside ``g[side]``, indexed by its endpoint in
-    the separator (src-to-dst with the separator at ``dst`` or ``src``)."""
-    sub, old = g.induced_subgraph(side)
-    idx = {o: i for i, o in enumerate(old)}
-    res = menger(sub, {idx[v] for v in src if v in side}, {idx[v] for v in dst if v in side})
-    out: dict[int, frozenset[int]] = {}
-    for p in res.paths.paths:
-        verts = frozenset(old[v] for v in p)
-        endpoint = old[p[0]] if start_in_x else old[p[-1]]
-        out[endpoint] = verts
-    return out
+    """Disjoint path system inside ``g[side]`` (a vertex mask), indexed by its
+    endpoint in the separator (src-to-dst with the separator at ``dst`` or
+    ``src``)."""
+    paths = _disjoint_paths(g, src, dst, within=side)
+    return {p[0] if start_in_x else p[-1]: frozenset(p) for p in paths.paths}
 
 
 def _normalize(

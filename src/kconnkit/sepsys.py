@@ -17,10 +17,14 @@ from typing import Iterable
 from .graph_core import (
     Graph,
     Separation,
+    _bits,
+    _mask_of,
+    component_masks,
     components,
     graph_from_json,
     graph_to_json,
     is_separation,
+    reachable_mask,
 )
 
 
@@ -185,18 +189,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> bool:
     # per-vertex connectivity of {t : v in part(t)} is equivalent to (T3)
     for v in g.vertices:
         nodes = [t for t in td.tree.vertices if v in td.parts[t]]
-        if not nodes:
-            return False
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            t = stack.pop()
-            for w in td.tree.neighbors(t):
-                if w in node_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != node_set:
+        if len(components(td.tree, nodes)) != 1:
             return False
     return True
 
@@ -242,26 +235,22 @@ def td_to_nss(g: Graph, td: TreeDecomposition) -> NestedSeparationSystem:
     if not validate_td(g, td):
         raise ValueError("invalid tree-decomposition")
     seps = set()
-    for u, v in td.tree.sorted_edges():
-        side_u = _subtree_nodes(td.tree, u, v)
-        a = frozenset().union(*(td.parts[t] for t in side_u))
-        b = frozenset().union(*(td.parts[t] for t in range(td.tree.n) if t not in side_u))
+    for _, _, side in tree_edge_sides(td.tree):
+        a = frozenset().union(*(td.parts[t] for t in _bits(side)))
+        b = frozenset().union(*(td.parts[t] for t in range(td.tree.n) if not side >> t & 1))
         seps.add(Separation(a, b))
         seps.add(Separation(b, a))
     return NestedSeparationSystem(g, frozenset(seps))
 
 
-def _subtree_nodes(tree: Graph, keep: int, cut: int) -> set[int]:
-    """Nodes on the ``keep`` side when the edge (keep, cut) is removed."""
-    seen = {keep}
-    stack = [keep]
-    while stack:
-        t = stack.pop()
-        for w in tree.neighbors(t):
-            if w != cut and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def tree_edge_sides(tree: Graph) -> list[tuple[int, int, int]]:
+    """Each edge ``(u, w)`` of the tree, ascending, with the mask of the
+    nodes on u's side once the edge is removed."""
+    full = (1 << tree.n) - 1
+    return [
+        (u, w, reachable_mask(tree.adjacency_masks, 1 << u, full & ~(1 << w)))
+        for u, w in tree.sorted_edges()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +269,9 @@ def clean_up(n: NestedSeparationSystem) -> NestedSeparationSystem:
     full = g.vertex_set
     out: set[Separation] = set()
     for sep_set in {s.separator for s in n.seps}:
-        for c in components(g, full - sep_set):
-            nbhd = frozenset().union(*(g.neighbors(v) for v in c)) - c
-            a = c | nbhd
+        for comp, nbhd in component_masks(g.adjacency_masks, _mask_of(full - sep_set)):
+            c = frozenset(_bits(comp))
+            a = c | frozenset(_bits(nbhd))
             if a == full:
                 continue
             out.add(Separation(a, full - c))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Mapping
 
-from .graph_core import Graph, graph_from_json, graph_to_json
+from .graph_core import Graph, check_vertices, graph_from_json, graph_to_json
 from .kconn import is_k_connected
 
 # ---------------------------------------------------------------------------
@@ -425,9 +425,8 @@ def apply_blowups(
     prescribed by each endpoint's own map.  Survivors are numbered first in
     ascending id, then the copies grouped by blown-up vertex.
     """
+    check_vertices(g, blowups)
     for v, (t, gamma) in blowups.items():
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside graph")
         if not t.is_tree():
             raise ValueError("blow-up pattern must be a tree")
         missing = g.neighbors(v) - set(gamma)
@@ -620,14 +619,7 @@ def gen_generalised_complete_bipartite(
     """Blow every core vertex of K(k, m) into the template tree."""
     if t1.k != k:
         raise ValueError("template arity does not match k")
-    parent = gen_complete_bipartite(k, m)
-    blowups = {}
-    for z in parent.core:
-        gamma = {
-            u: t1.gamma[parent.roles[u].node] for u in parent.graph.neighbors(z)
-        }
-        blowups[z] = (t1.tree, gamma)
-    return _generalise(parent, blowups, {z: t1.c for z in parent.core})
+    return _blow_up_core(gen_complete_bipartite(k, m), t1)
 
 
 def gen_generalised_degenerate_frayed(
@@ -636,14 +628,16 @@ def gen_generalised_degenerate_frayed(
     """Blow every core vertex of the frayed family into the template tree."""
     if t1.k != k:
         raise ValueError("template arity does not match k")
-    parent = gen_degenerate_frayed(k, ell, seq)
-    blowups = {}
-    for z in parent.core:
-        gamma = {}
-        for u in parent.graph.neighbors(z):
-            role = parent.roles[u]
-            gamma[u] = t1.gamma[role.node]
-        blowups[z] = (t1.tree, gamma)
+    return _blow_up_core(gen_degenerate_frayed(k, ell, seq), t1)
+
+
+def _blow_up_core(parent: CoreMarkedGraph, t1: Type1Template) -> CoreMarkedGraph:
+    """Blow every core vertex into ``t1``'s tree, each neighbour attaching at
+    the node ``t1.gamma`` assigns to its role, the core carried by ``t1.c``."""
+    blowups = {
+        z: (t1.tree, {u: t1.gamma[parent.roles[u].node] for u in parent.graph.neighbors(z)})
+        for z in parent.core
+    }
     return _generalise(parent, blowups, {z: t1.c for z in parent.core})
 
 

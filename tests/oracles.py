@@ -14,6 +14,7 @@ from typing import Callable
 from kconnkit.canon import _canon_key, _refine
 from kconnkit.graph_core import (
     Graph,
+    PathSystem,
     Separation,
     SizeGuardError,
     components,
@@ -114,6 +115,51 @@ def min_separator_size(g: Graph, a, b) -> int:
             if brute_is_separator(g, forced | frozenset(combo), fa, fb):
                 return len(forced) + extra
     raise AssertionError("unreachable: deleting every vertex always separates")
+
+
+def subgraph_disjoint_paths(g: Graph, a, b, within) -> PathSystem:
+    """``graph_core._disjoint_paths`` by copying ``g[within]``.
+
+    The reference for the vertex mask: the induced subgraph on the vertex
+    set ``within`` gets its own flow network, :func:`menger` runs on it, and
+    the paths are mapped back to the ids of ``g``.
+    """
+    side = frozenset(within)
+    sub, old = g.induced_subgraph(side)
+    idx = {o: i for i, o in enumerate(old)}
+    res = menger(sub, {idx[v] for v in a if v in side}, {idx[v] for v in b if v in side})
+    return PathSystem(tuple(tuple(old[v] for v in p) for p in res.paths.paths))
+
+
+def min_path_adhesion(td: TreeDecomposition, t1: int, t2: int) -> int | None:
+    """Smallest adhesion set size along the t1-t2 tree path; None if t1 == t2."""
+    if t1 == t2:
+        return None
+    prev = {t1: t1}
+    queue = [t1]
+    for t in queue:
+        for w in td.tree.neighbors(t):
+            if w not in prev:
+                prev[w] = t
+                queue.append(w)
+    sizes = []
+    while t2 != t1:
+        sizes.append(len(td.parts[t2] & td.parts[prev[t2]]))
+        t2 = prev[t2]
+    return min(sizes)
+
+
+def subtree_nodes(tree: Graph, keep: int, cut: int) -> set[int]:
+    """Nodes on the ``keep`` side when the edge (keep, cut) is removed."""
+    seen = {keep}
+    stack = [keep]
+    while stack:
+        t = stack.pop()
+        for w in tree.neighbors(t):
+            if w != cut and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def pair_scan_is_k_connected(g: Graph, a, k: int) -> KConnVerdict:

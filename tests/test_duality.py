@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kconnkit import duality
 from kconnkit.canon import connected_graphs
 from kconnkit.duality import (
     _min_max_decomposition,
@@ -95,6 +96,19 @@ def test_duality_census():
 def test_tree_width_guard():
     with pytest.raises(SizeGuardError):
         tree_width(complete_graph(11))
+
+
+def test_size_guards_name_their_constants():
+    with pytest.raises(SizeGuardError, match="n <= _MAX_TREE_WIDTH_N = 10"):
+        tree_width(complete_graph(11))
+    g = path_graph(9)
+    for search in (
+        lambda: k_tree_width(g, 2),
+        lambda: check_duality(g, g.vertex_set, 2, 2),
+        lambda: verify_sec1_bounds(g, 2),
+    ):
+        with pytest.raises(SizeGuardError, match="n <= _MAX_EXACT_N = 8"):
+            search()
 
 
 def test_k_tree_width_complete_graph():
@@ -209,8 +223,9 @@ def test_sec1_bounds_tree_k1():
     assert rep.gj_upper_ok is None  # upper bound only stated for k >= 2
 
 
-def test_sec1_bounds_grid():
-    rep = verify_sec1_bounds(grid_graph(3, 3), 2, size_guard=9)
+def test_sec1_bounds_grid(monkeypatch):
+    monkeypatch.setattr(duality, "_MAX_EXACT_N", 9)
+    rep = verify_sec1_bounds(grid_graph(3, 3), 2)
     assert rep.tw == 3
     assert rep.djgt_lower_ok and rep.djgt_upper_ok
     if rep.s_prime >= 2:

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kconnkit.graph_core import (
     Graph,
+    _disjoint_paths,
+    _mask_of,
     PathSystem,
     Separation,
     complete_bipartite_graph,
@@ -22,7 +24,13 @@ from kconnkit.graph_core import (
     validate_path_system,
 )
 from kconnkit.canon import connected_graphs
-from oracles import brute_is_separator, brute_max_disjoint_paths, min_separator_size, random_graph
+from oracles import (
+    brute_is_separator,
+    brute_max_disjoint_paths,
+    min_separator_size,
+    random_graph,
+    subgraph_disjoint_paths,
+)
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -61,6 +69,21 @@ def test_components_within_matches_induced_subgraph():
             sub, old = g.induced_subgraph(keep)
             expected = [frozenset(old[v] for v in c) for c in components(sub)]
             assert components(g, keep) == expected
+
+
+def test_disjoint_paths_within_match_the_induced_subgraph():
+    """A vertex mask gives the paths menger finds on a copy of g[within]."""
+    rng = random.Random(1811)
+    confined = 0
+    for g in connected_graphs(6):
+        for _ in range(4):
+            a = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+            b = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+            keep = {v for v in g.vertices if rng.random() < 0.75}
+            got = _disjoint_paths(g, a, b, within=_mask_of(keep))
+            assert got == subgraph_disjoint_paths(g, a, b, keep), (g, a, b, keep)
+            confined += len(got) < menger_count(g, a, b)
+    assert confined > 0
 
 
 def test_reachable_mask_stops_once_it_holds_cover():

@@ -341,6 +341,12 @@ def test_star_or_path_rejects_split_u():
         star_or_path(g, {0, 3}, 2)
 
 
+def test_star_or_path_rejects_m_below_one():
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            star_or_path(path_graph(4), {0, 3}, m)
+
+
 def test_star_or_path_none_when_impossible():
     g = path_graph(3)
     assert star_or_path(g, {0, 1, 2}, 4) is None

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from kconnkit import lean
+from kconnkit import graph_core, lean
 from kconnkit.canon import connected_graphs
-from kconnkit.graph_core import Graph, Separation, complete_graph, menger, path_graph
+from kconnkit.graph_core import Graph, Separation, complete_graph, cycle_graph, menger, path_graph
 from kconnkit.kconn import is_k_connected
 from kconnkit.lean import LeanViolation, build_k_lean_td, is_k_lean_nss, is_k_lean_td
 from kconnkit.sepsys import (
@@ -22,6 +22,7 @@ from kconnkit.sepsys import (
 )
 from oracles import (
     brute_is_separator,
+    min_path_adhesion,
     pair_scan_first_violation,
     random_connected_graph,
     random_nested_system,
@@ -121,6 +122,39 @@ def test_build_gives_up_after_max_rounds(monkeypatch):
     monkeypatch.setattr(lean, "_MAX_ROUNDS", 0)
     with pytest.raises(RuntimeError, match="exceeded _MAX_ROUNDS = 0 splits"):
         build_k_lean_td(g, 2)
+
+
+def test_split_runs_one_separator_flow_and_copies_nothing(monkeypatch):
+    """Each split runs one weighted flow (its separator) and one unweighted
+    flow per side, confined by a vertex mask instead of a subgraph copy."""
+    flows = collections.Counter()
+    splits = []
+    copies = []
+    run_flow = graph_core._run_flow
+    split = lean._split_on_violation
+    induced_subgraph = Graph.induced_subgraph
+
+    def counting_run_flow(g, fa, fb, weighted=False, **within):
+        flows[weighted] += 1
+        return run_flow(g, fa, fb, weighted, **within)
+
+    def counting_split(g, td, v):
+        splits.append(v)
+        return split(g, td, v)
+
+    def counting_copy(self, keep):
+        copies.append(keep)
+        return induced_subgraph(self, keep)
+
+    monkeypatch.setattr(graph_core, "_run_flow", counting_run_flow)
+    monkeypatch.setattr(lean, "_split_on_violation", counting_split)
+    monkeypatch.setattr(Graph, "induced_subgraph", counting_copy)
+    g = cycle_graph(10).add_edges([(0, 5), (2, 7)])
+    td = build_k_lean_td(g, 3)
+    monkeypatch.undo()
+    assert is_k_lean_td(g, td, 3) is True
+    assert len(splits) == 6
+    assert (flows[True], flows[False], len(copies)) == (6, 12, 0)
 
 
 def test_build_disconnected_graph():
@@ -230,7 +264,7 @@ def test_lean_checkers_match_pair_scan():
         cross += got is not True and got.t1 != got.t2
 
     def check_td(g, td, k):
-        cut_order = functools.partial(lean._min_path_adhesion, td)
+        cut_order = functools.partial(min_path_adhesion, td)
         check(g, list(td.parts), k, cut_order, is_k_lean_td(g, td, k))
 
     rng = random.Random(2764)

@@ -18,9 +18,10 @@ from kconnkit.sepsys import (
     nss_to_td,
     part_of,
     td_to_nss,
+    tree_edge_sides,
     validate_td,
 )
-from oracles import random_connected_graph, random_nested_system
+from oracles import random_connected_graph, random_nested_system, subtree_nodes
 
 
 def _empty_nss(g: Graph) -> NestedSeparationSystem:
@@ -112,6 +113,16 @@ def test_validate_td_rejects_disconnected_occurrences():
         (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1})),
     )
     assert not validate_td(g, bad)
+
+
+def test_tree_edge_sides_match_the_subtree_walk():
+    rng = random.Random(254)
+    for n in range(1, 12):
+        tree = Graph.from_edges(n, [(t, rng.randrange(t)) for t in range(1, n)])
+        sides = tree_edge_sides(tree)
+        assert [(u, w) for u, w, _ in sides] == tree.sorted_edges()
+        for u, w, side in sides:
+            assert side == sum(1 << t for t in subtree_nodes(tree, u, w))
 
 
 def test_adhesion_values():
@@ -247,9 +258,9 @@ def _same_separator_chains(n: NestedSeparationSystem) -> bool:
 
 
 def test_clean_up_lemma_properties_on_tree_like_systems():
-    # systems induced by decompositions along cut vertices and small
-    # separators; the statistical suite over k-lean systems lives in the
-    # acceptance module
+    # three hand-built systems along cut vertices and small separators: the
+    # clean-up stays proper, keeps adhesion below k, refines every part and
+    # leaves no chain of three separations with one separator
     cases = []
     g1 = path_graph(6)
     cases.append(

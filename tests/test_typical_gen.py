@@ -252,6 +252,12 @@ def test_blow_up_requires_total_gamma():
         apply_blowups(g, {1: (Graph.from_edges(1), {0: 0})})
 
 
+def test_blow_up_rejects_vertices_outside_the_graph():
+    for v in (3, -1):
+        with pytest.raises(ValueError, match=f"vertex {v} outside graph"):
+            apply_blowups(path_graph(3), {v: (Graph.from_edges(1), {})})
+
+
 def _sequential(g, v, tv, gv, w, tw, gw):
     g1, surv, copies = apply_blowups(g, {v: (tv, gv)})
     cop = copies[v]
