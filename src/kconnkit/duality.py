@@ -202,6 +202,8 @@ def verify_td_certificate(
 ) -> bool:
     """Adhesion below k and every part separable from ``a`` by fewer than m."""
     check_k(k)
+    if not isinstance(td, TreeDecomposition):
+        raise ValueError(f"td must be a TreeDecomposition, got {type(td).__name__}")
     if not validate_td(g, td):
         raise ValueError("invalid tree-decomposition")
     if any(len(s) >= k for s in td.adhesion_sets()):

@@ -228,17 +228,17 @@ class MaxKConnResult:
 def max_k_connected_subset(g: Graph, a: Iterable[int], k: int) -> MaxKConnResult:
     """A maximum-size k-connected subset of ``a``.
 
-    Exact search from large to small candidate sizes.  Failing witness pairs
-    prune supersets: if some (z1, z2) already failed, any candidate
-    containing z1 and z2 fails for the same reason.  Among maximum witnesses
-    the lexicographically least is returned.  If no subset of size >= k is
+    Exact search from large to small candidate sizes, each candidate decided
+    by :func:`first_failed_pair` (no flow runs).  Failing pairs prune
+    supersets: if some (z1, z2) already failed, any candidate containing z1
+    and z2 fails for the same reason.  Among maximum witnesses the
+    lexicographically least is returned.  If no subset of size >= k is
     k-connected the sentinel size ``k - 1`` is reported with no vertex set.
-    Requires ``k >= 0``.
+    Requires ``k >= 0``; for k = 0 the kernel finds no pair, so ``a`` itself
+    is returned.
     """
     fa = check_vertices(g, a)
     check_k(k)
-    if k == 0:
-        return MaxKConnResult(len(fa), fa)
     ordered = sorted(fa)
     bad_pairs: list[frozenset[int]] = []
     for size in range(len(fa), k - 1, -1):
@@ -246,11 +246,10 @@ def max_k_connected_subset(g: Graph, a: Iterable[int], k: int) -> MaxKConnResult
             cset = frozenset(cand)
             if any(bad <= cset for bad in bad_pairs):
                 continue
-            verdict = is_k_connected(g, cset, k)
-            if verdict.ok:
+            failed = first_failed_pair(g, cset, cset, k)
+            if failed is None:
                 return MaxKConnResult(size, cset)
-            w = verdict.witness
-            bad_pairs.append(w.z1 | w.z2)
+            bad_pairs.append(failed[0] | failed[1])
     return MaxKConnResult(k - 1, None)
 
 
@@ -275,86 +274,64 @@ def star_or_path(
     """Find a star with >= m legs ending in ``u`` or a path visiting >= m
     vertices of ``u``.
 
-    First tries the fast dichotomy on a pruned spanning tree of the
-    component of ``u`` (every leaf in ``u``): a node with ``m`` u-reaching
-    branches yields a star, otherwise the best u-path of the tree is taken.
-    If the tree recipe finds neither, an exact search over the whole graph
-    settles existence, so ``None`` really means neither structure exists.
-    Success is guaranteed for ``len(u) >= m ** m``.  Requires ``m >= 1``.
+    First tries the fast dichotomy on one BFS tree from ``min(u)``, cut down
+    to the subtree that ``u`` spans, so every leaf lies in ``u``: the first
+    node with ``m`` tree neighbours is the centre of a star, because each of
+    its branches ends in ``u``; otherwise the best u-path of the tree is
+    taken.  If the tree recipe finds neither, an exact search over the whole
+    graph settles existence, so ``None`` really means neither structure
+    exists.  Success is guaranteed for ``len(u) >= m ** m``.  Requires
+    ``m >= 1``.
     """
     fu = check_vertices(g, u)
     if not fu:
         raise ValueError("u must be non-empty")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    comp = next(c for c in components(g) if next(iter(fu)) in c)
-    if not fu <= comp:
-        raise ValueError("u spans multiple components")
-
-    tree_adj = _pruned_u_tree(g, fu)
-    star = _tree_star(tree_adj, fu, m)
-    if star is not None:
-        return star
-    path = _tree_best_u_path(tree_adj, fu)
-    if path is not None and sum(1 for v in path if v in fu) >= m:
+    adj = _u_tree(g, fu)
+    centre = next((c for c in sorted(adj) if len(adj[c]) >= m), None)
+    if centre is not None:
+        legs = (_leg_to_u(adj, fu, centre, nb) for nb in sorted(adj[centre])[:m])
+        return StarWitness(centre, tuple(legs))
+    path = _tree_best_u_path(adj, fu)
+    if sum(1 for v in path if v in fu) >= m:
         return PathWitness(path)
     return _exact_star_or_path(g, fu, m)
 
 
-def _pruned_u_tree(g: Graph, fu: frozenset[int]) -> dict[int, set[int]]:
-    """BFS spanning tree of u's component, pruned until every leaf is in u."""
+def _u_tree(g: Graph, fu: frozenset[int]) -> dict[int, set[int]]:
+    """The subtree spanned by ``fu`` of the BFS tree from ``min(fu)``
+    (neighbours ascending): the union of the tree paths from ``fu`` to the
+    root.  Every leaf of it lies in ``fu``."""
     root = min(fu)
     parent = {root: root}
     order = [root]
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
+    for v in order:
         for w in sorted(g.neighbors(v)):
             if w not in parent:
                 parent[w] = v
                 order.append(w)
-    adj: dict[int, set[int]] = {v: set() for v in parent}
-    for v, p in parent.items():
-        if v != p:
-            adj[v].add(p)
-            adj[p].add(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            if v not in fu and len(adj[v]) <= 1:
-                for w in adj[v]:
-                    adj[w].discard(v)
-                del adj[v]
-                changed = True
+    if not fu <= parent.keys():
+        raise ValueError("u spans multiple components")
+    adj: dict[int, set[int]] = {root: set()}
+    for v in fu:
+        while v not in adj:
+            adj[v] = {parent[v]}
+            v = parent[v]
+    for v in adj:
+        if v != root:
+            adj[parent[v]].add(v)
     return adj
-
-
-def _tree_star(
-    adj: dict[int, set[int]], fu: frozenset[int], m: int
-) -> StarWitness | None:
-    for c in sorted(adj):
-        legs = []
-        for nb in sorted(adj[c]):
-            leg = _leg_to_u(adj, fu, c, nb)
-            if leg is not None:
-                legs.append(leg)
-            if len(legs) >= m:
-                return StarWitness(c, tuple(legs))
-    return None
 
 
 def _leg_to_u(
     adj: dict[int, set[int]], fu: frozenset[int], c: int, nb: int
-) -> tuple[int, ...] | None:
-    """Shortest path from c into u through the branch at nb (BFS)."""
+) -> tuple[int, ...]:
+    """Shortest path from c into u through the branch at nb (BFS).  It
+    exists because that branch ends in a leaf, and every leaf lies in u."""
     prev = {nb: c}
     queue = [nb]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
+    for v in queue:
         if v in fu:
             leg = [v]
             while leg[-1] != c:
@@ -364,44 +341,43 @@ def _leg_to_u(
             if w != c and w not in prev:
                 prev[w] = v
                 queue.append(w)
-    return None
+    raise AssertionError("a branch of the u-tree misses u")
 
 
-def _tree_best_u_path(
-    adj: dict[int, set[int]], fu: frozenset[int]
-) -> tuple[int, ...] | None:
-    """Path of the tree maximising the number of u-vertices visited."""
-    if not adj:
-        return None
+def _tree_best_u_path(adj: dict[int, set[int]], fu: frozenset[int]) -> tuple[int, ...]:
+    """Path of the tree maximising the number of u-vertices visited.
+
+    A post-order DP from ``min(adj)`` with children ascending: ``down[v]`` is
+    the best path from v into its subtree, and a path bending at v joins its
+    two best child paths.  The stack pops children in descending order, so
+    the reversed visiting order is that post-order.
+    """
     root = min(adj)
-    best: dict = {"count": -1, "path": None}
-    down: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def dfs(v: int, par: int) -> None:
-        child_paths = []
+    parent = {root: root}
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
         for w in sorted(adj[v]):
-            if w != par:
-                dfs(w, v)
-                child_paths.append(down[w])
+            if w != parent[v]:
+                parent[w] = v
+                stack.append(w)
+    best_count, best_path = -1, ()
+    down: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for v in reversed(order):
         here = 1 if v in fu else 0
+        child_paths = [down[w] for w in sorted(adj[v]) if w != parent[v]]
         child_paths.sort(key=lambda t: -t[0])
-        if not child_paths:
-            down[v] = (here, (v,))
-        else:
-            c0, p0 = child_paths[0]
-            down[v] = (here + c0, (v,) + p0)
+        c0, p0 = child_paths[0] if child_paths else (0, ())
+        down[v] = (here + c0, (v,) + p0)
         if len(child_paths) >= 2:
             c1, p1 = child_paths[1]
-            through = child_paths[0][0] + here + c1
-            if through > best["count"]:
-                best["count"] = through
-                best["path"] = tuple(reversed(child_paths[0][1])) + (v,) + p1
-        if down[v][0] > best["count"]:
-            best["count"] = down[v][0]
-            best["path"] = down[v][1]
-
-    dfs(root, -1)
-    return best["path"]
+            if c0 + here + c1 > best_count:
+                best_count, best_path = c0 + here + c1, tuple(reversed(p0)) + (v,) + p1
+        if down[v][0] > best_count:
+            best_count, best_path = down[v]
+    return best_path
 
 
 def _exact_star_or_path(

@@ -191,26 +191,16 @@ def _normalize(
     for u, w in edges:
         adj[u].add(w)
         adj[w].add(u)
-    alive = set(range(len(parts)))
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(alive):
-            for w in sorted(adj[u]):
-                if parts[u] <= parts[w]:
-                    for nb in adj[u]:
-                        if nb != w:
-                            adj[nb].discard(u)
-                            adj[nb].add(w)
-                            adj[w].add(nb)
-                    adj[w].discard(u)
-                    alive.discard(u)
-                    adj[u] = set()
-                    changed = True
-                    break
-            if changed:
-                break
-    order = sorted(alive)
+    while pair := next(
+        ((u, w) for u in sorted(adj) for w in sorted(adj[u]) if parts[u] <= parts[w]), None
+    ):
+        u, w = pair
+        for nb in adj.pop(u) - {w}:
+            adj[nb].discard(u)
+            adj[nb].add(w)
+            adj[w].add(nb)
+        adj[w].discard(u)
+    order = sorted(adj)
     rename = {t: i for i, t in enumerate(order)}
     new_parts = [parts[t] for t in order]
     # ``rename`` keeps the order, so u < w gives each edge once as (low, high)

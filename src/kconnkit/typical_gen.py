@@ -80,8 +80,9 @@ class CoreMarkedGraph:
         return sorted(v for v, r in self.roles.items() if r.kind == kind)
 
     def core_boundary(self) -> int:
-        """One past the largest block/layer index appearing on the core."""
-        return max((self.roles[v].index or 0) for v in self.core) + 1
+        """One past the largest block/layer index appearing on the core; 0
+        when there is no core."""
+        return max(((self.roles[v].index or 0) for v in self.core), default=-1) + 1
 
     def interior_core(self, cutoff: int) -> list[int]:
         """Core vertices whose block/layer index lies below ``cutoff``."""
@@ -484,6 +485,8 @@ class Type1Template:
             raise ValueError(f"gamma must cover exactly [0, {self.k})")
         if not 0 <= self.c < self.tree.n:
             raise ValueError("c must be a tree node")
+        if not all(0 <= t < self.tree.n for t in self.gamma.values()):
+            raise ValueError("gamma must map into the tree's nodes")
         image = set(self.gamma.values()) | {self.c}
         for node in self.tree.vertices:
             if self.tree.degree(node) in (1, 2) and node not in image:

@@ -183,6 +183,11 @@ def test_verify_td_certificate_rejects_invalid():
         verify_td_certificate(g, frozenset({0}), 2, 2, bad)
 
 
+def test_verify_td_certificate_rejects_a_missing_decomposition():
+    with pytest.raises(ValueError, match="td must be a TreeDecomposition, got NoneType"):
+        verify_td_certificate(path_graph(3), frozenset({0}), 2, 2, None)
+
+
 def test_check_duality_set_side():
     g = complete_bipartite_graph(3, 5)
     a = frozenset(range(3, 8))

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kconnkit import graph_core, kconn
 from kconnkit.canon import connected_graphs
@@ -303,6 +304,64 @@ def test_max_k_connected_subset_returns_lex_least_maximum():
     assert res.vertices == min(alt, key=lambda s: sorted(s))
 
 
+def test_max_k_connected_subset_runs_no_flow(monkeypatch):
+    """Candidates are decided by the demand kernel, which runs no flow; a
+    failed candidate needs no witness separator either."""
+    flows = []
+    real_run_flow = graph_core._run_flow
+
+    def counting_run_flow(*args, **kwargs):
+        flows.append(args[1:3])
+        return real_run_flow(*args, **kwargs)
+
+    failed = []
+    real_kernel = kconn.first_failed_pair
+
+    def recording_kernel(*args):
+        got = real_kernel(*args)
+        failed.append(got is not None)
+        return got
+
+    monkeypatch.setattr(graph_core, "_run_flow", counting_run_flow)
+    monkeypatch.setattr(kconn, "first_failed_pair", recording_kernel)
+    graph_core._menger_count_cached.cache_clear()  # a cached flow would hide a run
+    cases = [(path_graph(5), 3), (cycle_graph(8), 3), (complete_bipartite_graph(2, 4), 2)]
+    cases += [(g, k) for g in connected_graphs(5) for k in (1, 2, 3)]
+    for g, k in cases:
+        max_k_connected_subset(g, g.vertex_set, k)
+    assert sum(failed) > 100
+    assert flows == []
+
+
+@st.composite
+def graphs_and_nested_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    big = frozenset(v for v in range(n) if draw(st.booleans()))
+    small = frozenset(v for v in sorted(big) if draw(st.booleans()))
+    return Graph.from_edges(n, edges), small, big
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_and_nested_sets())
+def test_max_k_connected_subset_is_monotone(data):
+    """Being k-connected is down-closed, so the maximum k-connected subset
+    of ``a`` does not grow with k and does not shrink when ``a`` grows.  A
+    missing set (the sentinel) counts as size 0."""
+    g, small, big = data
+    sizes = {}
+    for a in (small, big):
+        for k in range(1, 5):
+            res = max_k_connected_subset(g, a, k)
+            if res.vertices is not None:
+                assert res.vertices <= a and len(res.vertices) == res.size >= k
+                assert is_k_connected(g, res.vertices, k).ok
+            sizes[a, k] = len(res.vertices or ())
+    for a in (small, big):
+        assert all(sizes[a, k] >= sizes[a, k + 1] for k in range(1, 4)), sizes
+    assert all(sizes[small, k] <= sizes[big, k] for k in range(1, 5)), sizes
+
+
 def test_star_or_path_on_star_host():
     g = complete_bipartite_graph(1, 6)
     res = star_or_path(g, set(range(1, 7)), 5)
@@ -345,6 +404,12 @@ def test_star_or_path_rejects_m_below_one():
     for m in (0, -2):
         with pytest.raises(ValueError, match="m must be at least 1"):
             star_or_path(path_graph(4), {0, 3}, m)
+
+
+def test_star_or_path_on_a_long_path():
+    # the tree recipe walks its tree without recursion
+    res = star_or_path(path_graph(1500), range(1500), 3)
+    assert res == PathWitness(tuple(range(1500)))
 
 
 def test_star_or_path_none_when_impossible():

@@ -109,6 +109,13 @@ def test_layer_product_rejects_bad_blueprint():
         gen_layer_product(Graph.from_edges(3, [(0, 1), (1, 2), ]).add_edges([(0, 2)]), set(), 3)
 
 
+def test_interior_core_cutoff_without_a_core_is_none():
+    cmg = gen_layer_product(path_graph(3), {2}, 2)
+    assert cmg.core == ()
+    assert cmg.core_boundary() == 0
+    assert interior_core_cutoff(cmg, 2) is None
+
+
 def test_regular_typical_core():
     cmg = gen_regular_typical(FIG2_BP, 5)
     assert len(cmg.core) == 5
@@ -250,6 +257,13 @@ def test_blow_up_requires_total_gamma():
     g = path_graph(3)
     with pytest.raises(ValueError):
         apply_blowups(g, {1: (Graph.from_edges(1), {0: 0})})
+
+
+def test_type1_template_rejects_gamma_outside_the_tree():
+    edge = Graph.from_edges(2, [(0, 1)])
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match="gamma must map into the tree's nodes"):
+            Type1Template(edge, {0: bad, 1: 1}, 0, 2)
 
 
 def test_blow_up_rejects_vertices_outside_the_graph():
