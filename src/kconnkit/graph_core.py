@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -54,30 +54,22 @@ class Graph:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
-    @property
+    @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        cached = self.__dict__.get("_adjacency")
-        if cached is None:
-            adj: list[set[int]] = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            cached = tuple(frozenset(s) for s in adj)
-            self.__dict__["_adjacency"] = cached
-        return cached
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return tuple(frozenset(s) for s in adj)
 
-    @property
+    @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbour sets as bitmasks, for the search routines."""
-        cached = self.__dict__.get("_masks")
-        if cached is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            cached = tuple(masks)
-            self.__dict__["_masks"] = cached
-        return cached
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]

@@ -392,29 +392,26 @@ def _exact_star_or_path(
         legs = _disjoint_paths(g, nbrs, fu - {c}, within=full & ~(1 << c)).paths
         if len(legs) >= m:
             return StarWitness(c, tuple((c,) + p for p in legs[:m]))
-    # path: DFS over simple paths, pruned by remaining u supply
-    target = m
-    found: list[tuple[int, ...]] = []
-
-    def dfs(path: list[int], visited: set[int], count: int) -> bool:
-        if count >= target:
-            found.append(tuple(path))
-            return True
-        if count + len(fu - visited) < target:
-            return False
-        for w in sorted(g.neighbors(path[-1])):
-            if w not in visited:
-                path.append(w)
-                visited.add(w)
-                if dfs(path, visited, count + (1 if w in fu else 0)):
-                    return True
-                visited.discard(w)
-                path.pop()
-        return False
-
+    # path: DFS over simple paths on an explicit stack, neighbours ascending;
+    # a path visits at most len(fu) vertices of u
+    if len(fu) < m:
+        return None
     for s in sorted(g.vertices):
-        if dfs([s], {s}, 1 if s in fu else 0):
-            return PathWitness(found[0])
+        path, counts, visited = [s], [int(s in fu)], {s}
+        branches = [iter(sorted(g.neighbors(s)))]
+        while branches:
+            if counts[-1] >= m:
+                return PathWitness(tuple(path))
+            w = next((w for w in branches[-1] if w not in visited), None)
+            if w is None:
+                branches.pop()
+                counts.pop()
+                visited.discard(path.pop())
+            else:
+                path.append(w)
+                counts.append(counts[-1] + (w in fu))
+                visited.add(w)
+                branches.append(iter(sorted(g.neighbors(w))))
     return None
 
 

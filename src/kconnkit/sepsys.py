@@ -72,13 +72,8 @@ class NestedSeparationSystem:
 
     @staticmethod
     def from_json(obj: dict) -> "NestedSeparationSystem":
-        g = graph_from_json(obj["graph"])
-        seps = set()
-        for so in obj["separations"]:
-            s = Separation.from_json(so)
-            seps.add(s)
-            seps.add(s.inverse())
-        return NestedSeparationSystem(g, frozenset(seps))
+        seps = map(Separation.from_json, obj["separations"])
+        return nss_from_separations(graph_from_json(obj["graph"]), seps)
 
 
 def nss_from_separations(g: Graph, seps: Iterable[Separation]) -> NestedSeparationSystem:
@@ -234,13 +229,12 @@ def td_to_nss(g: Graph, td: TreeDecomposition) -> NestedSeparationSystem:
     """The separations induced by the oriented tree edges of ``td``."""
     if not validate_td(g, td):
         raise ValueError("invalid tree-decomposition")
-    seps = set()
+    seps = []
     for _, _, side in tree_edge_sides(td.tree):
         a = frozenset().union(*(td.parts[t] for t in _bits(side)))
         b = frozenset().union(*(td.parts[t] for t in range(td.tree.n) if not side >> t & 1))
-        seps.add(Separation(a, b))
-        seps.add(Separation(b, a))
-    return NestedSeparationSystem(g, frozenset(seps))
+        seps.append(Separation(a, b))
+    return nss_from_separations(g, seps)
 
 
 def tree_edge_sides(tree: Graph) -> list[tuple[int, int, int]]:
@@ -267,13 +261,11 @@ def clean_up(n: NestedSeparationSystem) -> NestedSeparationSystem:
     """
     g = n.graph
     full = g.vertex_set
-    out: set[Separation] = set()
+    out = []
     for sep_set in {s.separator for s in n.seps}:
         for comp, nbhd in component_masks(g.adjacency_masks, _mask_of(full - sep_set)):
             c = frozenset(_bits(comp))
             a = c | frozenset(_bits(nbhd))
-            if a == full:
-                continue
-            out.add(Separation(a, full - c))
-            out.add(Separation(full - c, a))
-    return NestedSeparationSystem(g, frozenset(out))
+            if a != full:
+                out.append(Separation(a, full - c))
+    return nss_from_separations(g, out)

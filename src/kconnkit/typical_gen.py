@@ -8,6 +8,15 @@ numbers its vertices canonically (blocks in sequence order, then shared and
 degenerate vertices, then frayed centres, then the layer product) and
 records a role per vertex; tests address vertices through roles and the
 ordered core, never through raw ids.
+
+Attachment rule of the generalised families: when a vertex v is blown up
+into a pattern, each neighbour u of v attaches at one pattern node, read off
+the roles of v and u.  On a ``Type1Template`` a layer neighbour attaches at
+``c`` and any other at ``gamma`` of u's role node.  On a ``PathBlowup`` a
+glued core block attaches at ``v1`` on even layers and ``v0`` on odd ones,
+the next vertex up v's own ray at ``vtop`` and the one below at ``vbot``,
+and any other neighbour at ``gamma`` of u's role node.  The core moves to
+the copies of one pattern node: ``c`` of a tree template, ``v1`` of a path.
 """
 
 from __future__ import annotations
@@ -158,10 +167,10 @@ class _Builder:
             raise ValueError(f"loop on {a!r}")
         self.edges.add((min(u, v), max(u, v)))
 
-    def freeze(self, core_labels: Iterable[Hashable], **extra) -> CoreMarkedGraph:
+    def freeze(self, core_labels: Iterable[Hashable]) -> CoreMarkedGraph:
         g = Graph(len(self.order), frozenset(self.edges))
         core = tuple(self.index[l] for l in core_labels)
-        return CoreMarkedGraph(g, core, dict(self.roles), **extra)
+        return CoreMarkedGraph(g, core, dict(self.roles))
 
 
 # ---------------------------------------------------------------------------
@@ -325,34 +334,33 @@ def gen_degenerate_frayed(k: int, ell: int, seq: GoodSequence) -> CoreMarkedGrap
     if not 0 <= ell <= k:
         raise ValueError("need 0 <= ell <= k")
     bld = _Builder()
-    _emit_frayed_blocks(bld, k, ell, k, seq)
-    for i in range(ell, k):
-        bld.add(("x", i), Role("frayed_centre", node=i))
-        for alpha in range(len(seq)):
-            bld.edge(("x", i), ("y", alpha, i))
-    core = [("z", a, j) for a in range(len(seq)) for j in range(seq.sizes[a])]
-    return bld.freeze(core)
+    return bld.freeze(_emit_frayed_blocks(bld, ell, k, seq))
 
 
 def _emit_frayed_blocks(
-    bld: _Builder, k: int, ell: int, y_top: int, seq: GoodSequence
-) -> None:
-    """Blocks, separate y-vertices for slots [ell, y_top), shared vertices
-    for slots below ell.  Block edges towards slots >= y_top are left to the
-    caller."""
+    bld: _Builder, ell: int, y_top: int, seq: GoodSequence
+) -> list[tuple]:
+    """Blocks, separate y-vertices for slots [ell, y_top) joined across the
+    blocks by frayed centres, shared vertices for slots below ell.  Block
+    edges towards slots >= y_top are left to the caller.  Returns the core
+    labels, block by block."""
     for alpha, size in enumerate(seq.sizes):
         for j in range(size):
             bld.add(("z", alpha, j), Role("core", index=alpha))
         for i in range(ell, y_top):
             bld.add(("y", alpha, i), Role("finite_side", node=i, index=alpha))
+            for j in range(size):
+                bld.edge(("z", alpha, j), ("y", alpha, i))
+    core = [("z", alpha, j) for alpha, size in enumerate(seq.sizes) for j in range(size)]
     for i in range(ell):
         bld.add(("ydeg", i), Role("degenerate", node=i))
-    for alpha, size in enumerate(seq.sizes):
-        for j in range(size):
-            for i in range(ell):
-                bld.edge(("z", alpha, j), ("ydeg", i))
-            for i in range(ell, y_top):
-                bld.edge(("z", alpha, j), ("y", alpha, i))
+        for z in core:
+            bld.edge(z, ("ydeg", i))
+    for i in range(ell, y_top):
+        bld.add(("x", i), Role("frayed_centre", node=i))
+        for alpha in range(len(seq)):
+            bld.edge(("x", i), ("y", alpha, i))
+    return core
 
 
 def gen_singular_typical(
@@ -371,11 +379,7 @@ def gen_singular_typical(
     ell, f, b, fd = sbp.ell, sbp.f, sbp.b, sbp.d
     layers = 2 * len(seq) + b.n
     bld = _Builder()
-    _emit_frayed_blocks(bld, k, ell, ell + f, seq)
-    for i in range(ell, ell + f):
-        bld.add(("x", i), Role("frayed_centre", node=i))
-        for alpha in range(len(seq)):
-            bld.edge(("x", i), ("y", alpha, i))
+    core = _emit_frayed_blocks(bld, ell, ell + f, seq)
     _emit_layer_product(bld, b, fd, layers)
     for alpha in range(len(seq)):
         for i in range(ell + f, k):
@@ -383,7 +387,6 @@ def gen_singular_typical(
             target = ("L", node, 2 * alpha + parity + b.n)
             for j in range(seq.sizes[alpha]):
                 bld.edge(("z", alpha, j), target)
-    core = [("z", a, j) for a in range(len(seq)) for j in range(seq.sizes[a])]
     return bld.freeze(core)
 
 
@@ -518,6 +521,9 @@ class PathBlowup:
         if seq[-1] != self.v1:
             raise ValueError("v1 must be the other endnode")
         pos = {node: i for i, node in enumerate(seq)}
+        for node in (self.vbot, self.vtop, *self.gamma.values()):
+            if node not in pos:
+                raise ValueError(f"node {node} is not on the path")
         if pos[self.vbot] not in (0, 1):
             raise ValueError("vbot must equal v0 or be adjacent to it")
         if pos[self.vtop] not in (len(seq) - 1, len(seq) - 2):
@@ -586,16 +592,32 @@ class Type3Template:
 # Generalised graphs
 
 
+def _attachment(role_v: Role, role_u: Role, pattern: Type1Template | PathBlowup) -> int:
+    """Pattern node at which a neighbour with role ``role_u`` attaches when
+    the vertex with role ``role_v`` is blown up (the module's attachment
+    rule)."""
+    if isinstance(pattern, Type1Template):
+        return pattern.c if role_u.kind == "layer" else pattern.gamma[role_u.node]
+    if role_u.node is None:  # a glued block vertex; its role names no node
+        return pattern.v1 if role_v.index % 2 == 0 else pattern.v0
+    if role_u.node == role_v.node:
+        return pattern.vtop if role_u.index == role_v.index + 1 else pattern.vbot
+    return pattern.gamma[role_u.node]
+
+
 def _generalise(
     parent: CoreMarkedGraph,
-    blowups: Mapping[int, tuple[Graph, Mapping[int, int]]],
-    core_copy: Mapping[int, int],
+    patterns: Mapping[int, Type1Template | PathBlowup],
+    core_node: int,
 ) -> CoreMarkedGraph:
-    """Blow up the parent and rebuild core/roles/parent bookkeeping.
-
-    ``core_copy`` maps each parent core vertex to the tree node whose copy
-    carries the core forward.
-    """
+    """Blow each vertex of ``patterns`` up into its pattern by the
+    attachment rule and rebuild core/roles/parent bookkeeping; the core
+    moves to the copies of ``core_node``."""
+    blowups = {}
+    for v, pattern in patterns.items():
+        tree = pattern.tree if isinstance(pattern, Type1Template) else pattern.path
+        blowups[v] = (tree, {u: _attachment(parent.roles[v], parent.roles[u], pattern)
+                             for u in parent.graph.neighbors(v)})
     graph, survivors, copies = apply_blowups(parent.graph, blowups)
     roles: dict[int, Role] = {}
     parent_map: dict[int, int] = {}
@@ -608,12 +630,10 @@ def _generalise(
             parent_map[idx] = v
     core = []
     for z in parent.core:
-        idx = copies[z][core_copy[z]] if z in copies else survivors[z]
+        idx = copies[z][core_node] if z in copies else survivors[z]
         roles[idx] = Role("core", index=parent.roles[z].index)
         core.append(idx)
-    return CoreMarkedGraph(
-        graph, tuple(core), roles, parent=parent, parent_map=parent_map
-    )
+    return CoreMarkedGraph(graph, tuple(core), roles, parent=parent, parent_map=parent_map)
 
 
 def gen_generalised_complete_bipartite(
@@ -622,7 +642,8 @@ def gen_generalised_complete_bipartite(
     """Blow every core vertex of K(k, m) into the template tree."""
     if t1.k != k:
         raise ValueError("template arity does not match k")
-    return _blow_up_core(gen_complete_bipartite(k, m), t1)
+    parent = gen_complete_bipartite(k, m)
+    return _generalise(parent, dict.fromkeys(parent.core, t1), t1.c)
 
 
 def gen_generalised_degenerate_frayed(
@@ -631,50 +652,8 @@ def gen_generalised_degenerate_frayed(
     """Blow every core vertex of the frayed family into the template tree."""
     if t1.k != k:
         raise ValueError("template arity does not match k")
-    return _blow_up_core(gen_degenerate_frayed(k, ell, seq), t1)
-
-
-def _blow_up_core(parent: CoreMarkedGraph, t1: Type1Template) -> CoreMarkedGraph:
-    """Blow every core vertex into ``t1``'s tree, each neighbour attaching at
-    the node ``t1.gamma`` assigns to its role, the core carried by ``t1.c``."""
-    blowups = {
-        z: (t1.tree, {u: t1.gamma[parent.roles[u].node] for u in parent.graph.neighbors(z)})
-        for z in parent.core
-    }
-    return _generalise(parent, blowups, {z: t1.c for z in parent.core})
-
-
-def _layer_gamma(
-    parent: CoreMarkedGraph,
-    v: int,
-    pb: PathBlowup,
-    core_rule: tuple[int, int] | None,
-) -> dict[int, int]:
-    """Attachment map for blowing up the layer vertex ``v``.
-
-    Same-layer product neighbours and dominating vertices attach through the
-    blueprint map, the ray neighbours at vtop/vbot, and (in the glued
-    family) core-block neighbours at v1 on even layers and v0 on odd ones.
-    """
-    role_v = parent.roles[v]
-    gamma: dict[int, int] = {}
-    for u in parent.graph.neighbors(v):
-        role = parent.roles[u]
-        if role.kind in ("layer", "core") and role.index is not None and role.node is not None:
-            if role.node == role_v.node:
-                gamma[u] = pb.vtop if role.index == role_v.index + 1 else pb.vbot
-            else:
-                gamma[u] = pb.gamma[role.node]
-        elif role.kind == "dominating":
-            gamma[u] = pb.gamma[role.node]
-        elif role.kind == "core":
-            if core_rule is None:
-                raise ValueError("unexpected core neighbour of a layer vertex")
-            even, odd = core_rule
-            gamma[u] = even if role_v.index % 2 == 0 else odd
-        else:
-            raise ValueError(f"unexpected neighbour role {role}")
-    return gamma
+    parent = gen_degenerate_frayed(k, ell, seq)
+    return _generalise(parent, dict.fromkeys(parent.core, t1), t1.c)
 
 
 def gen_generalised_regular(
@@ -686,52 +665,27 @@ def gen_generalised_regular(
         raise ValueError("template arity does not match the blueprint order")
     t2.validate_for(bp.b, bp.d)
     parent = gen_regular_typical(bp, layers)
-    blowups = {}
-    for v in parent.graph.vertices:
-        role = parent.roles[v]
-        if role.kind in ("layer", "core"):
-            pb = t2.entries[role.node]
-            blowups[v] = (pb.path, _layer_gamma(parent, v, pb, None))
-    core_copy = {z: t2.entries[bp.c].v1 for z in parent.core}
-    return _generalise(parent, blowups, core_copy)
+    patterns = {v: t2.entries[r.node] for v, r in parent.roles.items() if r.kind != "dominating"}
+    return _generalise(parent, patterns, t2.entries[bp.c].v1)
 
 
 def gen_generalised_singular(
     sbp: SingularBlueprint, seq: GoodSequence, k: int, t3: Type3Template
 ) -> CoreMarkedGraph:
     """Blow up both the core blocks (tree template) and the layer product
-    (path templates) of the glued family.
-
-    Attachment rules at the seam: a layer vertex carrying a glued slot
-    presents its v1 copy to the block on even layers and its v0 copy on odd
-    ones; a core vertex attaches its glued-slot edges at the template's core
-    node.
-    """
+    (path templates) of the glued family."""
     if t3.t1.k != sbp.ell + sbp.f:
         raise ValueError("tree template arity must be ell + f")
     if t3.t2.k != k - sbp.ell - sbp.f:
         raise ValueError("path template arity must be k - ell - f")
     t3.t2.validate_for(sbp.b, sbp.d)
     parent = gen_singular_typical(sbp, seq, k)
-    blowups = {}
-    for v in parent.graph.vertices:
-        role = parent.roles[v]
-        if role.kind == "layer":
-            pb = t3.t2.entries[role.node]
-            blowups[v] = (pb.path, _layer_gamma(parent, v, pb, (pb.v1, pb.v0)))
-        elif role.kind == "core":
-            gamma = {}
-            for u in parent.graph.neighbors(v):
-                urole = parent.roles[u]
-                if urole.kind in ("degenerate", "finite_side"):
-                    gamma[u] = t3.t1.gamma[urole.node]
-                elif urole.kind == "layer":
-                    gamma[u] = t3.t1.c
-                else:
-                    raise ValueError(f"unexpected core neighbour role {urole}")
-            blowups[v] = (t3.t1.tree, gamma)
-    core_copy = {z: t3.t1.c for z in parent.core}
-    return _generalise(parent, blowups, core_copy)
+    patterns = {
+        v: t3.t1 if r.kind == "core" else t3.t2.entries[r.node]
+        for v, r in parent.roles.items()
+        if r.kind in ("core", "layer")
+    }
+    return _generalise(parent, patterns, t3.t1.c)
 
 
 _GENERALISED = {

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -415,6 +416,26 @@ def test_star_or_path_on_a_long_path():
 def test_star_or_path_none_when_impossible():
     g = path_graph(3)
     assert star_or_path(g, {0, 1, 2}, 4) is None
+
+
+def test_star_or_path_exact_search_runs_without_recursion():
+    # A spider with three legs of 100 vertices, u its leaves and centre: no
+    # vertex has 4 neighbours and no path passes 4 vertices of u, so the
+    # exact path search walks every simple path from every start.
+    legs = 100
+    edges = [(0, 1 + i * legs) for i in range(3)]
+    edges += [(v, v + 1) for i in range(3) for v in range(1 + i * legs, (i + 1) * legs)]
+    g = Graph.from_edges(1 + 3 * legs, edges)
+    u = {0, legs, 2 * legs, 3 * legs}
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        assert star_or_path(g, u, 4) is None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _check_star(g: Graph, w: StarWitness, u: set) -> None:

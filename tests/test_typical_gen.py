@@ -60,6 +60,29 @@ def simple_type2(bp: RegularBlueprint) -> Type2Template:
     return Type2Template(entries, bp.k)
 
 
+def nonsimple_type2(b: Graph, d: frozenset[int]) -> Type2Template:
+    """Every live node blown up into the path 0-1-2-3 with vbot = 1 and
+    vtop = 2, so v0, vbot, vtop and v1 are four different nodes."""
+    entries = {}
+    for node in b.vertices:
+        if node not in d:
+            gamma = {u: 1 + u % 2 for u in b.neighbors(node)}
+            entries[node] = PathBlowup(path_graph(4), 0, 1, 2, 3, gamma)
+    return Type2Template(entries, b.n)
+
+
+def copies_of(gen: CoreMarkedGraph, v: int) -> list[int]:
+    """The vertices that parent vertex ``v`` became, by pattern node."""
+    return sorted(i for i, p in gen.parent_map.items() if p == v)
+
+
+def attachments(gen: CoreMarkedGraph, v: int, w: int) -> set[tuple[int, int]]:
+    """(pattern node on v's side, pattern node on w's side) of every edge
+    between what parent vertices ``v`` and ``w`` became."""
+    cv, cw = copies_of(gen, v), copies_of(gen, w)
+    return {(i, j) for i, a in enumerate(cv) for j, b in enumerate(cw) if gen.graph.has_edge(a, b)}
+
+
 def test_complete_bipartite_counts():
     cmg = gen_complete_bipartite(4, 7)
     assert cmg.graph.n == 11
@@ -266,6 +289,13 @@ def test_type1_template_rejects_gamma_outside_the_tree():
             Type1Template(edge, {0: bad, 1: 1}, 0, 2)
 
 
+def test_path_blowup_rejects_nodes_off_the_path():
+    path = path_graph(3)
+    for args in ((0, 7, 2, 2, {}), (0, 0, 7, 2, {}), (0, 0, 2, 2, {5: 7})):
+        with pytest.raises(ValueError, match="node 7 is not on the path"):
+            PathBlowup(path, *args)
+
+
 def test_blow_up_rejects_vertices_outside_the_graph():
     for v in (3, -1):
         with pytest.raises(ValueError, match=f"vertex {v} outside graph"):
@@ -337,6 +367,46 @@ def test_generalised_regular_core_moves_to_v1():
     cutoff = interior_core_cutoff(gen, FIG2_BP.k)
     assert cutoff is not None
     assert gen.core_boundary() - cutoff <= FIG2_BP.k + 2
+
+
+def test_generalised_regular_attachments_on_a_nonsimple_template():
+    t2 = nonsimple_type2(FIG2_BP.b, FIG2_BP.d)
+    gen = gen_generalised_regular(FIG2_BP, 3, t2)
+    parent = gen.parent
+    product = {(r.node, r.index): v for v, r in parent.roles.items() if r.kind != "dominating"}
+    (dom,) = parent.with_kind("dominating")
+    for (x, n), v in product.items():
+        if (x, n + 1) in product:
+            # up the ray: the lower copy attaches at vtop, the upper at vbot
+            assert attachments(gen, v, product[x, n + 1]) == {(2, 1)}
+        for y in FIG2_BP.b.neighbors(x):
+            w = product.get((y, n), dom)
+            other = t2.entries[y].gamma[x] if w != dom else 0
+            assert attachments(gen, v, w) == {(t2.entries[x].gamma[y], other)}
+    assert gen.core == tuple(copies_of(gen, product[FIG2_BP.c, n])[3] for n in range(3))
+
+
+def test_generalised_singular_attachments_on_a_nonsimple_template():
+    t1 = Type1Template(path_graph(3), {0: 0, 1: 2, 2: 2}, 1, 3)
+    t3 = Type3Template(t1, nonsimple_type2(FIG4_SBP.b, FIG4_SBP.d))
+    gen = gen_generalised_singular(FIG4_SBP, GoodSequence((2, 3)), 7, t3)
+    parent = gen.parent
+    parities = []
+    for z in parent.core:
+        for w in parent.graph.neighbors(z):
+            role = parent.roles[w]
+            if role.kind == "layer":
+                # a glued block: c on the block's side, v1 on even layers, v0 on odd
+                parities.append(role.index % 2)
+                assert attachments(gen, z, w) == {(1, 3 if role.index % 2 == 0 else 0)}
+            else:
+                assert attachments(gen, z, w) == {(t1.gamma[role.node], 0)}
+    assert sorted(parities) == [0] * 10 + [1] * 10
+    layer = {(r.node, r.index): v for v, r in parent.roles.items() if r.kind == "layer"}
+    for (x, n), v in layer.items():
+        if (x, n + 1) in layer:
+            assert attachments(gen, v, layer[x, n + 1]) == {(2, 1)}
+    assert gen.core == tuple(copies_of(gen, z)[1] for z in parent.core)
 
 
 def test_generalised_singular_builds_and_connects():
