@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
+from .graph_core import Graph, SizeGuardError, _bits, check_k, check_vertices, component_masks
 # menger is unused here but kept: the benchmark's tracer wraps duality.menger.
-from .graph_core import Graph, SizeGuardError, _bits, check_k, component_masks, menger  # noqa: F401
+from .graph_core import menger  # noqa: F401
 from .graph_core import menger_count as min_separator_size  # equal by Menger's theorem
 from .kconn import is_k_connected, max_k_connected_subset
 from .sepsys import TreeDecomposition, validate_td
@@ -201,6 +202,7 @@ def verify_td_certificate(
     g: Graph, a: frozenset[int], k: int, m: int, td: TreeDecomposition
 ) -> bool:
     """Adhesion below k and every part separable from ``a`` by fewer than m."""
+    a = check_vertices(g, a)
     check_k(k)
     if not isinstance(td, TreeDecomposition):
         raise ValueError(f"td must be a TreeDecomposition, got {type(td).__name__}")

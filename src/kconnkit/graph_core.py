@@ -273,12 +273,12 @@ def is_separation(g: Graph, s: Separation) -> bool:
 # Menger: maximum vertex-disjoint path systems via unit-capacity flows.
 #
 # Each vertex v is split into v_in = 2v and v_out = 2v + 1 joined by a
-# capacity-1 arc; graph edges become arcs whose capacity is effectively
-# unlimited (the vertex caps bound them to one unit anyway).  Because only
-# split arcs can saturate, the min cut consists of split arcs and reads off
-# directly as a minimum vertex separator.  Augmentation is Edmonds-Karp with
-# neighbours scanned in a fixed ascending order, so witnesses are
-# reproducible.
+# capacity-1 arc; graph edges become arcs of capacity (n + 3) * n + 1, more
+# than all n split arcs carry together even in weighted mode (at most n + 3
+# each), so they never saturate.  The min cut therefore consists of split
+# arcs and reads off directly as a minimum vertex separator.  Augmentation
+# is Edmonds-Karp with neighbours scanned in a fixed ascending order, so
+# witnesses are reproducible.
 #
 # A search confined to part of the graph passes the vertex mask ``within``:
 # a vertex outside it gets split-arc capacity 0, so no path enters it.  The
@@ -318,7 +318,7 @@ class _FlowNet:
         self.head: list[int] = []
         self.cap0: list[int] = []
         self.out: list[list[int]] = [[] for _ in range(2 * g.n)]
-        big = g.n + 1
+        big = (g.n + 3) * g.n + 1
         for v in range(g.n):
             _add_arc(self.out, self.head, self.cap0, 2 * v, 2 * v + 1, 1)
         for u, v in sorted(g.edges):
@@ -362,22 +362,13 @@ def _run_flow(
     net = _flow_net(g)
     head = net.head
     out = net.out
+    cap = net.cap0.copy()
+    cap0 = net.cap0 if within is None and not weighted else cap.copy()
     if weighted:
         k_unit = g.n + 2
-        big = (k_unit + 1) * g.n + 1
-        cap = net.cap0.copy()
-        cap0 = cap.copy()
-        for i in range(2 * g.n, len(cap)):
-            if cap[i] > 1:
-                cap[i] = cap0[i] = big
         for v in range(g.n):
-            w = k_unit + 1 if v in fa or v in fb else k_unit
-            cap[2 * v] = cap0[2 * v] = w
-    else:
-        cap = net.cap0.copy()
-        cap0 = net.cap0
+            cap[2 * v] = cap0[2 * v] = k_unit + 1 if v in fa or v in fb else k_unit
     if within is not None:
-        cap0 = cap0.copy()
         for v in _bits(((1 << g.n) - 1) & ~within):
             cap[2 * v] = cap0[2 * v] = 0
 
@@ -565,16 +556,9 @@ def graph_from_json_str(s: str) -> Graph:
     return graph_from_json(json.loads(s))
 
 
-def graph_to_dot(g: Graph, labels: dict[int, str] | None = None, colors: dict[int, str] | None = None) -> str:
+def graph_to_dot(g: Graph) -> str:
     lines = ["graph G {"]
-    for v in g.vertices:
-        attrs = []
-        if labels and v in labels:
-            attrs.append(f'label="{labels[v]}"')
-        if colors and v in colors:
-            attrs.append(f'style=filled fillcolor="{colors[v]}"')
-        attr = f" [{' '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {v}{attr};")
+    lines += [f"  {v};" for v in g.vertices]
     for u, v in g.sorted_edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

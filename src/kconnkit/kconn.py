@@ -28,6 +28,7 @@ from .graph_core import (
     Graph,
     _bits,
     _disjoint_paths,
+    _mask_of,
     _min_separator,
     check_k,
     check_vertices,
@@ -274,35 +275,51 @@ def star_or_path(
     """Find a star with >= m legs ending in ``u`` or a path visiting >= m
     vertices of ``u``.
 
-    First tries the fast dichotomy on one BFS tree from ``min(u)``, cut down
-    to the subtree that ``u`` spans, so every leaf lies in ``u``: the first
-    node with ``m`` tree neighbours is the centre of a star, because each of
-    its branches ends in ``u``; otherwise the best u-path of the tree is
-    taken.  If the tree recipe finds neither, an exact search over the whole
-    graph settles existence, so ``None`` really means neither structure
-    exists.  Success is guaranteed for ``len(u) >= m ** m``.  Requires
-    ``m >= 1``.
+    Four stages, in this order, the first witness winning:
+
+    1. tree star: on one BFS tree from ``min(u)``, cut down to the subtree
+       that ``u`` spans (so every leaf lies in ``u``), the first node with
+       ``m`` tree neighbours is a centre, because each of its branches ends
+       in ``u``; its legs come from the flow inside the subtree, started at
+       its first ``m`` tree neighbours (one augmentation per leg);
+    2. tree path: the best u-path of that tree;
+    3. exact star: every vertex as a centre, with legs from the flow in the
+       whole graph;
+    4. exact path: a search over simple paths, started only at vertices of
+       ``u``.  That suffices: a path through m vertices of ``u`` contains the
+       subpath from its first u-vertex to its last, with the same count.
+
+    The tree stages take O(m) passes over the graph and usually decide; the
+    exact stages settle existence, so ``None`` really means neither
+    structure exists.  Success is guaranteed for ``len(u) >= m ** m``.
+    Requires ``m >= 1``.
     """
     fu = check_vertices(g, u)
     if not fu:
         raise ValueError("u must be non-empty")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    adj = _u_tree(g, fu)
-    centre = next((c for c in sorted(adj) if len(adj[c]) >= m), None)
+    parent, order = _u_tree(g, fu)
+    nbrs: dict[int, list[int]] = {v: [] for v in order}
+    for v in order[1:]:
+        nbrs[v].append(parent[v])
+        nbrs[parent[v]].append(v)
+    centre = next((c for c in sorted(order) if len(nbrs[c]) >= m), None)
     if centre is not None:
-        legs = (_leg_to_u(adj, fu, centre, nb) for nb in sorted(adj[centre])[:m])
-        return StarWitness(centre, tuple(legs))
-    path = _tree_best_u_path(adj, fu)
+        return _star(g, centre, sorted(nbrs[centre])[:m], fu, m, _mask_of(order))
+    path = _tree_best_u_path(nbrs, parent, order, fu)
     if sum(1 for v in path if v in fu) >= m:
         return PathWitness(path)
-    return _exact_star_or_path(g, fu, m)
+    full = (1 << g.n) - 1
+    stars = (_star(g, c, g.neighbors(c), fu, m, full) for c in g.vertices if g.degree(c) >= m)
+    return next((s for s in stars if s), None) or _exact_u_path(g, fu, m)
 
 
-def _u_tree(g: Graph, fu: frozenset[int]) -> dict[int, set[int]]:
+def _u_tree(g: Graph, fu: frozenset[int]) -> tuple[dict[int, int], list[int]]:
     """The subtree spanned by ``fu`` of the BFS tree from ``min(fu)``
     (neighbours ascending): the union of the tree paths from ``fu`` to the
-    root.  Every leaf of it lies in ``fu``."""
+    root, as its BFS parents and visiting order.  Every leaf of it lies in
+    ``fu``."""
     root = min(fu)
     parent = {root: root}
     order = [root]
@@ -313,62 +330,39 @@ def _u_tree(g: Graph, fu: frozenset[int]) -> dict[int, set[int]]:
                 order.append(w)
     if not fu <= parent.keys():
         raise ValueError("u spans multiple components")
-    adj: dict[int, set[int]] = {root: set()}
+    keep = {root}
     for v in fu:
-        while v not in adj:
-            adj[v] = {parent[v]}
+        while v not in keep:
+            keep.add(v)
             v = parent[v]
-    for v in adj:
-        if v != root:
-            adj[parent[v]].add(v)
-    return adj
+    order = [v for v in order if v in keep]
+    return {v: parent[v] for v in order}, order
 
 
-def _leg_to_u(
-    adj: dict[int, set[int]], fu: frozenset[int], c: int, nb: int
+def _star(
+    g: Graph, c: int, starts: Iterable[int], fu: frozenset[int], m: int, within: int
+) -> StarWitness | None:
+    """A star at ``c`` with ``m`` legs ending in ``fu``, or ``None``: the legs
+    are disjoint paths from ``starts``, neighbours of c, to ``fu - {c}`` inside
+    the vertex mask ``within`` that avoid c."""
+    legs = _disjoint_paths(g, frozenset(starts), fu - {c}, within=within & ~(1 << c)).paths
+    return StarWitness(c, tuple((c,) + p for p in legs[:m])) if len(legs) >= m else None
+
+
+def _tree_best_u_path(
+    nbrs: dict[int, list[int]], parent: dict[int, int], order: list[int], fu: frozenset[int]
 ) -> tuple[int, ...]:
-    """Shortest path from c into u through the branch at nb (BFS).  It
-    exists because that branch ends in a leaf, and every leaf lies in u."""
-    prev = {nb: c}
-    queue = [nb]
-    for v in queue:
-        if v in fu:
-            leg = [v]
-            while leg[-1] != c:
-                leg.append(prev[leg[-1]])
-            return tuple(reversed(leg))
-        for w in sorted(adj[v]):
-            if w != c and w not in prev:
-                prev[w] = v
-                queue.append(w)
-    raise AssertionError("a branch of the u-tree misses u")
-
-
-def _tree_best_u_path(adj: dict[int, set[int]], fu: frozenset[int]) -> tuple[int, ...]:
     """Path of the tree maximising the number of u-vertices visited.
 
-    A post-order DP from ``min(adj)`` with children ascending: ``down[v]`` is
-    the best path from v into its subtree, and a path bending at v joins its
-    two best child paths.  The stack pops children in descending order, so
-    the reversed visiting order is that post-order.
+    A DP over the reversed BFS order, children ascending: ``down[v]`` is the
+    best path from v into its subtree, and a path bending at v joins its two
+    best child paths.
     """
-    root = min(adj)
-    parent = {root: root}
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in sorted(adj[v]):
-            if w != parent[v]:
-                parent[w] = v
-                stack.append(w)
     best_count, best_path = -1, ()
     down: dict[int, tuple[int, tuple[int, ...]]] = {}
     for v in reversed(order):
         here = 1 if v in fu else 0
-        child_paths = [down[w] for w in sorted(adj[v]) if w != parent[v]]
-        child_paths.sort(key=lambda t: -t[0])
+        child_paths = sorted((down[w] for w in nbrs[v] if w != parent[v]), key=lambda t: -t[0])
         c0, p0 = child_paths[0] if child_paths else (0, ())
         down[v] = (here + c0, (v,) + p0)
         if len(child_paths) >= 2:
@@ -380,24 +374,14 @@ def _tree_best_u_path(adj: dict[int, set[int]], fu: frozenset[int]) -> tuple[int
     return best_path
 
 
-def _exact_star_or_path(
-    g: Graph, fu: frozenset[int], m: int
-) -> StarWitness | PathWitness | None:
-    # star: legs at c are disjoint N(c)-u paths in g - c
-    full = (1 << g.n) - 1
-    for c in sorted(g.vertices):
-        nbrs = g.neighbors(c)
-        if len(nbrs) < m:
-            continue
-        legs = _disjoint_paths(g, nbrs, fu - {c}, within=full & ~(1 << c)).paths
-        if len(legs) >= m:
-            return StarWitness(c, tuple((c,) + p for p in legs[:m]))
-    # path: DFS over simple paths on an explicit stack, neighbours ascending;
-    # a path visits at most len(fu) vertices of u
+def _exact_u_path(g: Graph, fu: frozenset[int], m: int) -> PathWitness | None:
+    """The first path through ``m`` vertices of ``fu`` found by a DFS over
+    simple paths on an explicit stack, neighbours ascending, from each vertex
+    of ``fu`` in turn; a path visits at most ``len(fu)`` of them."""
     if len(fu) < m:
         return None
-    for s in sorted(g.vertices):
-        path, counts, visited = [s], [int(s in fu)], {s}
+    for s in sorted(fu):
+        path, counts, visited = [s], [1], {s}
         branches = [iter(sorted(g.neighbors(s)))]
         while branches:
             if counts[-1] >= m:

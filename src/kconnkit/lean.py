@@ -154,33 +154,23 @@ def _split_on_violation(
     a = frozenset(_bits(a_mask))
     b = frozenset(_bits(b_mask))
 
-    p_paths = _endpoint_paths(g, a_mask, v.z1, x, start_in_x=False)
-    q_paths = _endpoint_paths(g, b_mask, x, v.z2, start_in_x=True)
-    if set(p_paths) != set(x) or set(q_paths) != set(x):
-        raise AssertionError("witness path systems must hit every separator vertex")
+    # witness paths z1 -> x inside the a-side and x -> z2 inside the b-side;
+    # each copy is padded along the other side's paths, keyed by their end in x
+    p_paths = _disjoint_paths(g, v.z1, x, within=a_mask).paths
+    q_paths = _disjoint_paths(g, x, v.z2, within=b_mask).paths
 
     n_old = td.tree.n
     new_parts: list[frozenset[int]] = []
-    for t in range(n_old):  # A-copy
-        extra = {xx for xx, pv in q_paths.items() if pv & td.parts[t]}
-        new_parts.append((td.parts[t] & a) | frozenset(extra))
-    for t in range(n_old):  # B-copy
-        extra = {xx for xx, pv in p_paths.items() if pv & td.parts[t]}
-        new_parts.append((td.parts[t] & b) | frozenset(extra))
+    for side, paths in ((a, q_paths), (b, p_paths)):  # A-copy, then B-copy
+        ends = {xx: frozenset(p) for p in paths for xx in x.intersection(p)}
+        if ends.keys() != x:
+            raise AssertionError("witness path systems must hit every separator vertex")
+        for part in td.parts:
+            new_parts.append((part & side) | {xx for xx, pv in ends.items() if pv & part})
     new_edges = [(u, w) for u, w in td.tree.sorted_edges()]
     new_edges += [(u + n_old, w + n_old) for u, w in td.tree.sorted_edges()]
     new_edges.append((v.t2, v.t1 + n_old))
     return new_parts, new_edges
-
-
-def _endpoint_paths(
-    g: Graph, side: int, src: frozenset[int], dst: frozenset[int], start_in_x: bool
-) -> dict[int, frozenset[int]]:
-    """Disjoint path system inside ``g[side]`` (a vertex mask), indexed by its
-    endpoint in the separator (src-to-dst with the separator at ``dst`` or
-    ``src``)."""
-    paths = _disjoint_paths(g, src, dst, within=side)
-    return {p[0] if start_in_x else p[-1]: frozenset(p) for p in paths.paths}
 
 
 def _normalize(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Mapping
 
-from .graph_core import Graph, check_vertices, graph_from_json, graph_to_json
+from .graph_core import Graph, check_k, check_vertices, graph_from_json, graph_to_json
 from .kconn import is_k_connected
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,7 @@ def interior_core_cutoff(cmg: CoreMarkedGraph, k: int) -> int | None:
     Only cutoffs whose interior has at least k vertices are candidates;
     returns None if no candidate passes.
     """
+    check_k(k)
     for cutoff in range(cmg.core_boundary(), 0, -1):
         interior = cmg.interior_core(cutoff)
         if len(interior) < k:
@@ -535,10 +536,6 @@ class PathBlowup:
                 raise ValueError("attachments must land between vbot and vtop")
 
     @property
-    def simple(self) -> bool:
-        return self.v0 == self.vbot and self.v1 == self.vtop
-
-    @property
     def length(self) -> int:
         return len(self.path.edges)
 
@@ -576,10 +573,6 @@ class Type2Template:
                 raise ValueError("blow-up path too long")
             if set(pb.gamma) != set(b.neighbors(node)):
                 raise ValueError(f"gamma of node {node} must cover its blueprint neighbours")
-
-    @property
-    def simple(self) -> bool:
-        return all(pb.simple for pb in self.entries.values())
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,15 @@ def test_verify_td_certificate_rejects_a_missing_decomposition():
         verify_td_certificate(path_graph(3), frozenset({0}), 2, 2, None)
 
 
+def test_verify_td_certificate_rejects_vertices_outside_the_graph():
+    # the adhesion set {1} is not below k = 1, which must not hide the bad vertex
+    g = path_graph(4)
+    td = TreeDecomposition(path_graph(2), (frozenset({0, 1}), frozenset({1, 2, 3})))
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="vertex 9 outside graph"):
+            verify_td_certificate(g, {9}, k, 3, td)
+
+
 def test_check_duality_set_side():
     g = complete_bipartite_graph(3, 5)
     a = frozenset(range(3, 8))

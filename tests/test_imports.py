@@ -4,32 +4,55 @@ This is pyflakes' unused-import check (F401) done with ``ast``, since the
 test dependencies include no linter.  A name an import binds must occur as a
 name somewhere in the module; an attribute chain ``a.b.c`` counts as a use
 of ``a``.  ``from __future__`` imports and lines marked ``# noqa: F401`` are
-exempt.
+exempt.  In ``src/`` that mark may exempt only a name that
+``perfbench/tracing.py`` wraps on that module (``_LAYER_TARGETS``), so a
+shim the tracer no longer wraps is flagged.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "kconnkit").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "kconnkit").glob("*.py"))
+MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def unused_imports(source: str) -> list[tuple[int, str]]:
-    """(line, name) of every imported name the module never uses."""
-    tree = ast.parse(source)
+def imports(source: str) -> list[tuple[int, str, bool]]:
+    """(line, bound name, marked ``# noqa: F401``) of every import."""
     lines = source.splitlines()
-    imported = []
-    for node in ast.walk(tree):
+    out = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa: F401" not in lines[alias.lineno - 1]:
-                    imported.append((alias.lineno, alias.asname or alias.name.split(".")[0]))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [(line, name) for line, name in imported if name not in used]
+                noqa = "# noqa: F401" in lines[alias.lineno - 1]
+                out.append((alias.lineno, alias.asname or alias.name.split(".")[0], noqa))
+    return out
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every imported name the module never uses."""
+    used = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name, noqa in imports(source) if not noqa and name not in used]
+
+
+def stale_exemptions(source: str, wrapped: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of every ``# noqa: F401`` import outside ``wrapped``."""
+    return [(line, name) for line, name, noqa in imports(source) if noqa and name not in wrapped]
+
+
+def wrapped_names(module: str) -> set[str]:
+    """The attributes of ``kconnkit.<module>`` the benchmark's tracer wraps."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing._LAYER_TARGETS
+    return {attr for owner, attr, _ in targets if owner.__name__ == f"kconnkit.{module}"}
 
 
 def test_unused_imports_are_found():
@@ -47,6 +70,23 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == [(3, "random"), (6, "c")]
 
 
+def test_stale_exemptions_are_found():
+    # a tracer that stops wrapping menger leaves its shim import stale, and a
+    # mark on a shared line exempts every name on it
+    source = (
+        "from .graph_core import menger, menger_count  # noqa: F401\n"
+        "from .graph_core import Graph, _bits  # noqa: F401\n"
+        "print(Graph, _bits)\n"
+    )
+    assert stale_exemptions(source, {"menger", "menger_count"}) == [(2, "Graph"), (2, "_bits")]
+    assert stale_exemptions(source, {"menger_count"}) == [(1, "menger"), (2, "Graph"), (2, "_bits")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_noqa_exempts_only_tracer_shims(path):
+    assert stale_exemptions(path.read_text(), wrapped_names(path.stem)) == []

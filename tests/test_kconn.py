@@ -368,8 +368,7 @@ def test_star_or_path_on_star_host():
     res = star_or_path(g, set(range(1, 7)), 5)
     assert isinstance(res, StarWitness)
     assert res.centre == 0
-    assert len(res.legs) >= 5
-    _check_star(g, res, set(range(1, 7)))
+    _check_star(g, res, set(range(1, 7)), 5)
 
 
 def test_star_or_path_on_path_host():
@@ -390,7 +389,7 @@ def test_star_or_path_on_random_trees():
         res = star_or_path(g, leaves, 4)
         assert res is not None
         if isinstance(res, StarWitness):
-            _check_star(g, res, leaves)
+            _check_star(g, res, leaves, 4)
         else:
             _check_path(g, res, leaves, 4)
 
@@ -418,15 +417,18 @@ def test_star_or_path_none_when_impossible():
     assert star_or_path(g, {0, 1, 2}, 4) is None
 
 
-def test_star_or_path_exact_search_runs_without_recursion():
-    # A spider with three legs of 100 vertices, u its leaves and centre: no
-    # vertex has 4 neighbours and no path passes 4 vertices of u, so the
-    # exact path search walks every simple path from every start.
-    legs = 100
+def _spider(legs: int) -> tuple[Graph, set[int]]:
+    """Three paths of ``legs`` vertices hung from vertex 0, with u the three
+    leaves and the centre: no vertex has 4 neighbours and no path passes 4
+    vertices of u, so with m = 4 every stage of star_or_path runs."""
     edges = [(0, 1 + i * legs) for i in range(3)]
     edges += [(v, v + 1) for i in range(3) for v in range(1 + i * legs, (i + 1) * legs)]
-    g = Graph.from_edges(1 + 3 * legs, edges)
-    u = {0, legs, 2 * legs, 3 * legs}
+    return Graph.from_edges(1 + 3 * legs, edges), {0, legs, 2 * legs, 3 * legs}
+
+
+def test_star_or_path_exact_search_runs_without_recursion():
+    # the exact path search walks every simple path from each vertex of u
+    g, u = _spider(100)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -438,10 +440,65 @@ def test_star_or_path_exact_search_runs_without_recursion():
         sys.setrecursionlimit(limit)
 
 
-def _check_star(g: Graph, w: StarWitness, u: set) -> None:
+def test_star_or_path_exact_search_is_linear_on_a_spider(monkeypatch):
+    """The path search starts only in u, so on a tree it visits each vertex
+    once per start: a few scans of the adjacency, not one per path."""
+    g, u = _spider(300)
+    calls = 0
+    real_neighbors = Graph.neighbors
+
+    def counting_neighbors(self, v):
+        nonlocal calls
+        calls += 1
+        return real_neighbors(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", counting_neighbors)
+    assert star_or_path(g, u, 4) is None
+    assert calls <= 10 * g.n
+
+
+def _brute_star_or_path_exists(g: Graph, u: frozenset[int], m: int) -> bool:
+    """Existence by brute force, no flow: a star at c is m disjoint paths
+    from N(c) to u - {c} in g - c; a path is found by a DFS over every simple
+    path from every vertex."""
+    for c in g.vertices:
+        rest = Graph.from_edges(g.n, [e for e in g.edges if c not in e])
+        if brute_max_disjoint_paths(rest, g.neighbors(c), u - {c}) >= m:
+            return True
+
+    def extend(path: list[int], count: int) -> bool:
+        if count >= m:
+            return True
+        return any(
+            extend(path + [w], count + (w in u)) for w in g.neighbors(path[-1]) if w not in path
+        )
+
+    return any(extend([s], int(s in u)) for s in g.vertices)
+
+
+def test_star_or_path_matches_brute_force():
+    rng = random.Random(1306)
+    kinds = collections.Counter()
+    for g in connected_graphs(6):
+        for _ in range(2):
+            u = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+            for m in range(1, 5):
+                res = star_or_path(g, u, m)
+                assert (res is None) != _brute_star_or_path_exists(g, u, m), (g, u, m, res)
+                if isinstance(res, StarWitness):
+                    _check_star(g, res, u, m)
+                elif res is not None:
+                    _check_path(g, res, u, m)
+                kinds[type(res).__name__] += 1
+    assert min(kinds.values()) > 200, kinds
+
+
+def _check_star(g: Graph, w: StarWitness, u: set, m: int) -> None:
+    assert len(w.legs) >= m
     seen: set[int] = set()
     for leg in w.legs:
         assert leg[0] == w.centre
+        assert len(set(leg)) == len(leg) >= 2
         assert leg[-1] in u
         assert all(g.has_edge(x, y) for x, y in zip(leg, leg[1:]))
         inner = set(leg[1:])

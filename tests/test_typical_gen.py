@@ -139,6 +139,13 @@ def test_interior_core_cutoff_without_a_core_is_none():
     assert interior_core_cutoff(cmg, 2) is None
 
 
+def test_interior_core_cutoff_rejects_negative_k():
+    # without a core no cutoff is tried, so only the check can see the bad k
+    cmg = gen_layer_product(path_graph(3), {2}, 2)
+    with pytest.raises(ValueError, match="k must be non-negative, got -1"):
+        interior_core_cutoff(cmg, -1)
+
+
 def test_regular_typical_core():
     cmg = gen_regular_typical(FIG2_BP, 5)
     assert len(cmg.core) == 5
