@@ -257,7 +257,7 @@ class Separation:
 
     @staticmethod
     def from_json(obj: dict) -> "Separation":
-        return Separation(frozenset(obj["a"]), frozenset(obj["b"]))
+        return Separation(frozenset(map(_json_int, obj["a"])), frozenset(map(_json_int, obj["b"])))
 
 
 def is_separation(g: Graph, s: Separation) -> bool:
@@ -279,6 +279,14 @@ def is_separation(g: Graph, s: Separation) -> bool:
 # arcs and reads off directly as a minimum vertex separator.  Augmentation
 # is Edmonds-Karp with neighbours scanned in a fixed ascending order, so
 # witnesses are reproducible.
+#
+# Only residual capacities are kept: every arc is paired with a reverse arc
+# of capacity 0, so the flow on arc e is the residual cap[e ^ 1].  A
+# search seeds every a_in node, never enters one, and stops at the first
+# b_out node, so each flow path meets a only at its start and b only at its
+# end.  The last, failed search of a weighted flow reaches exactly the
+# source side of the interior-first minimum cut closest to a, and the
+# vertices whose split arc leaves that side are the separator of menger.
 #
 # A search confined to part of the graph passes the vertex mask ``within``:
 # a vertex outside it gets split-arc capacity 0, so no path enters it.  The
@@ -350,8 +358,10 @@ def _run_flow(
     weighted: bool = False,
     within: int | None = None,
 ) -> tuple[int, list[int], list[int]]:
-    """Max flow; returns (value, cap, cap0) for witness extraction.
+    """Max flow; returns (value, residual cap, parent list of the last search).
 
+    A weighted flow runs until that search fails (seeds read -2 in it, nodes
+    it missed -1); an unweighted one stops once it reaches min(|a|, |b|).
     In weighted mode split arcs carry K for interior vertices and K+1 for
     vertices of ``a | b``, so the min cut is a minimum separator preferring
     interior vertices among equally small ones.  Paths stay inside the
@@ -363,23 +373,21 @@ def _run_flow(
     head = net.head
     out = net.out
     cap = net.cap0.copy()
-    cap0 = net.cap0 if within is None and not weighted else cap.copy()
     if weighted:
         k_unit = g.n + 2
         for v in range(g.n):
-            cap[2 * v] = cap0[2 * v] = k_unit + 1 if v in fa or v in fb else k_unit
+            cap[2 * v] = k_unit + 1 if v in fa or v in fb else k_unit
     if within is not None:
         for v in _bits(((1 << g.n) - 1) & ~within):
-            cap[2 * v] = cap0[2 * v] = 0
+            cap[2 * v] = 0
 
     seeds = sorted(2 * v for v in fa)
     exits = set(2 * v + 1 for v in fb)
     target = min(len(fa), len(fb))
-    if weighted:
-        target *= g.n + 3
     flow = 0
     nodes = 2 * g.n
-    while flow < target:
+    parent: list[int] = []
+    while weighted or flow < target:
         # BFS on the residual graph; a_in nodes are even and b_out nodes odd,
         # so a seed is never an exit and every augmenting path is non-empty.
         parent = [-1] * nodes
@@ -417,40 +425,7 @@ def _run_flow(
             cap[e ^ 1] += delta
             v = head[e ^ 1]
         flow += delta
-    return flow, cap, cap0
-
-
-def _extract_paths(
-    g: Graph, fa: frozenset[int], fb: frozenset[int], count: int, cap: list[int], cap0: list[int]
-) -> PathSystem:
-    """Decompose the flow into vertex sequences and trim them to a-b paths."""
-    used = [cap0[2 * v] - cap[2 * v] > 0 for v in range(g.n)]
-    succ: dict[int, int] = {}
-    has_inflow: set[int] = set()
-    arc = 2 * g.n
-    for u, v in sorted(g.edges):
-        if cap0[arc] - cap[arc] > 0:
-            succ[u] = v
-            has_inflow.add(v)
-        if cap0[arc + 2] - cap[arc + 2] > 0:
-            succ[v] = u
-            has_inflow.add(u)
-        arc += 4
-
-    paths: list[tuple[int, ...]] = []
-    for s in sorted(fa):
-        if not used[s] or s in has_inflow:
-            continue
-        seq = [s]
-        while seq[-1] in succ:
-            seq.append(succ[seq[-1]])
-        last_a = max(i for i, v in enumerate(seq) if v in fa)
-        seq = seq[last_a:]
-        first_b = min(i for i, v in enumerate(seq) if v in fb)
-        paths.append(tuple(seq[: first_b + 1]))
-    if len(paths) != count:
-        raise AssertionError("flow decomposition lost paths")
-    return PathSystem(tuple(paths))
+    return flow, cap, parent
 
 
 def menger(g: Graph, a: Iterable[int], b: Iterable[int]) -> MengerResult:
@@ -472,35 +447,39 @@ def menger(g: Graph, a: Iterable[int], b: Iterable[int]) -> MengerResult:
 def _disjoint_paths(
     g: Graph, fa: frozenset[int], fb: frozenset[int], within: int | None = None
 ) -> PathSystem:
-    """The path system of :func:`menger` in ``g[within]``, in ``g``'s ids."""
-    count, cap, cap0 = _run_flow(g, fa, fb, within=within)
-    return _extract_paths(g, fa, fb, count, cap, cap0)
+    """The path system of :func:`menger` in ``g[within]``, in ``g``'s ids:
+    the flow followed from each a-vertex whose split arc it uses."""
+    count, cap, _ = _run_flow(g, fa, fb, within=within)
+    succ: dict[int, int] = {}
+    arc = 2 * g.n
+    for u, v in sorted(g.edges):
+        if cap[arc + 1] > 0:
+            succ[u] = v
+        if cap[arc + 3] > 0:
+            succ[v] = u
+        arc += 4
+
+    paths: list[tuple[int, ...]] = []
+    for s in sorted(fa):
+        if cap[2 * s + 1] > 0:
+            seq = [s]
+            while seq[-1] in succ:
+                seq.append(succ[seq[-1]])
+            paths.append(tuple(seq))
+    if len(paths) != count:
+        raise AssertionError("flow decomposition lost paths")
+    return PathSystem(tuple(paths))
 
 
 def _min_separator(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> frozenset[int]:
     """The minimum a-b separator that :func:`menger` reports.
 
     It comes from a weighted flow whose min cut consists of split arcs only
-    and, among minimum separators, prefers interior vertices.  The virtual
-    source reaches every a_in node, so those seed the residual reachability.
+    and, among minimum separators, prefers interior vertices: the vertices
+    whose split arc leaves the flow's last, failed search.
     """
-    _, wcap, _ = _run_flow(g, fa, fb, weighted=True)
-    net = _flow_net(g)
-    reach = 0
-    stack = []
-    for v in fa:
-        reach |= 1 << (2 * v)
-        stack.append(2 * v)
-    while stack:
-        u = stack.pop()
-        for e in net.out[u]:
-            v = net.head[e]
-            if wcap[e] > 0 and not (reach >> v) & 1:
-                reach |= 1 << v
-                stack.append(v)
-    return frozenset(
-        v for v in range(g.n) if (reach >> (2 * v)) & 1 and not (reach >> (2 * v + 1)) & 1
-    )
+    _, _, parent = _run_flow(g, fa, fb, weighted=True)
+    return frozenset(v for v in range(g.n) if parent[2 * v] != -1 and parent[2 * v + 1] == -1)
 
 
 def menger_count(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
@@ -544,8 +523,16 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
+def _json_int(x: object) -> int:
+    """``x`` if it is a plain ``int`` (not a ``bool``), else ``ValueError``."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer in JSON, got {x!r}")
+    return x
+
+
 def graph_from_json(obj: dict) -> Graph:
-    return Graph.from_edges(int(obj["n"]), obj["edges"])
+    edges = ((_json_int(u), _json_int(v)) for u, v in obj["edges"])
+    return Graph.from_edges(_json_int(obj["n"]), edges)
 
 
 def graph_to_json_str(g: Graph) -> str:

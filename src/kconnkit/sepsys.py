@@ -18,6 +18,7 @@ from .graph_core import (
     Graph,
     Separation,
     _bits,
+    _json_int,
     _mask_of,
     component_masks,
     components,
@@ -167,7 +168,8 @@ class TreeDecomposition:
     @staticmethod
     def from_json(obj: dict) -> "TreeDecomposition":
         return TreeDecomposition(
-            graph_from_json(obj["tree"]), tuple(frozenset(p) for p in obj["parts"])
+            graph_from_json(obj["tree"]),
+            tuple(frozenset(map(_json_int, p)) for p in obj["parts"]),
         )
 
 

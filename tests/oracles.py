@@ -117,6 +117,43 @@ def min_separator_size(g: Graph, a, b) -> int:
     raise AssertionError("unreachable: deleting every vertex always separates")
 
 
+def brute_menger_separator(g: Graph, a, b) -> frozenset[int]:
+    """The separator ``menger`` reports, by direct subset enumeration.
+
+    Among the a-b separators with the fewest vertices, then the fewest
+    vertices of ``a | b``, it takes the one whose a-side (the vertices
+    reachable from a - S in g - S) is contained in every other a-side, and
+    asserts that there is exactly one such separator.
+    """
+    fa, fb = frozenset(a), frozenset(b)
+    forced = fa & fb
+    rest = sorted(set(g.vertices) - forced)
+    best: list[tuple[frozenset[int], frozenset[int]]] = []
+    best_key = None
+    for extra in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, extra):
+            sep = forced | frozenset(combo)
+            if not brute_is_separator(g, sep, fa, fb):
+                continue
+            key = (len(sep), len(sep & (fa | fb)))
+            if best_key is None or key < best_key:
+                best, best_key = [], key
+            if key == best_key:
+                side = set(fa - sep)
+                stack = list(side)
+                while stack:
+                    for w in g.neighbors(stack.pop()):
+                        if w not in sep and w not in side:
+                            side.add(w)
+                            stack.append(w)
+                best.append((frozenset(side), sep))
+        if best:
+            break
+    least = {sep for side, sep in best if all(side <= other for other, _ in best)}
+    assert len(least) == 1, (g, fa, fb, best)
+    return least.pop()
+
+
 def subgraph_disjoint_paths(g: Graph, a, b, within) -> PathSystem:
     """``graph_core._disjoint_paths`` by copying ``g[within]``.
 

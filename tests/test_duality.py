@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kconnkit import duality
 from kconnkit.canon import connected_graphs
@@ -25,6 +27,7 @@ from duality_census import bounds_hold, census_cases
 from oracles import (
     frozenset_min_max_decomposition,
     min_separator_size,
+    pair_scan_is_k_connected,
     pull_tree_width,
     random_connected_graph,
 )
@@ -215,6 +218,35 @@ def test_check_duality_td_side():
     assert report.set_certificate is None
     assert max(report.separability) < 3
     assert report.ktw == 2
+
+
+@st.composite
+def duality_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    a = frozenset(v for v in range(n) if draw(st.booleans()))
+    k = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=k, max_value=k + 3))
+    return Graph.from_edges(n, edges), a, k, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(duality_instances())
+def test_duality_certificates_pass_the_oracles(data):
+    """Both certificates and the reported separability are re-checked by
+    the brute-force and pair-scan oracles, not by the library's checkers."""
+    g, a, k, m = data
+    report = check_duality(g, a, k, m)
+    cert = report.set_certificate
+    if cert is not None:
+        assert cert <= a and len(cert) >= m
+        assert pair_scan_is_k_connected(g, cert, k).ok
+    td = report.td_certificate
+    if td is not None:
+        assert validate_td(g, td)
+        assert all(min_separator_size(g, a, p) < m for p in td.parts)
+        assert all(len(s) < k for s in td.adhesion_sets())
+    assert report.separability == tuple(min_separator_size(g, a, p) for p in report.best_td.parts)
 
 
 def test_check_duality_rejects_m_below_k():

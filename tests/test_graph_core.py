@@ -26,6 +26,7 @@ from kconnkit.graph_core import (
 from kconnkit.canon import connected_graphs
 from oracles import (
     brute_is_separator,
+    brute_menger_separator,
     brute_max_disjoint_paths,
     min_separator_size,
     random_graph,
@@ -209,6 +210,30 @@ def test_min_separator_size_matches_menger_on_seeded_instances():
         a = frozenset(v for v in g.vertices if rng.random() < 0.4)
         b = frozenset(v for v in g.vertices if rng.random() < 0.4)
         assert min_separator_size(g, a, b) == menger(g, a, b).count
+
+
+def test_menger_separator_matches_the_brute_force_rule():
+    """menger's separator is the one with the fewest vertices, then the
+    fewest of a | b, then the inclusion-least a-side.  Many cases have more
+    than one minimum separator, so the tie-break itself is checked."""
+    rng = random.Random(1401)
+    cases = competing = 0
+    for g in connected_graphs(6):
+        for _ in range(6):
+            vs = rng.sample(range(g.n), g.n)
+            cut = rng.randint(1, min(3, g.n))
+            a, b = frozenset(vs[:cut]), frozenset(vs[cut : cut + rng.randint(1, 3)])
+            res = menger(g, a, b)
+            assert res.separator == brute_menger_separator(g, a, b), (g, a, b)
+            minimum = [
+                s
+                for s in itertools.combinations(g.vertices, res.count)
+                if brute_is_separator(g, frozenset(s), a, b)
+            ]
+            cases += 1
+            competing += len(minimum) > 1
+    assert cases == 858
+    assert competing > 300, competing
 
 
 @st.composite

@@ -4,7 +4,14 @@ from collections import Counter
 
 import pytest
 
-from kconnkit.graph_core import Graph, Separation, cycle_graph, path_graph
+from kconnkit.graph_core import (
+    Graph,
+    Separation,
+    cycle_graph,
+    graph_from_json,
+    is_separation,
+    path_graph,
+)
 from kconnkit.sepsys import (
     NestedSeparationSystem,
     Orientation,
@@ -202,6 +209,23 @@ def test_td_to_nss_rejects_invalid():
         td_to_nss(g, bad)
 
 
+def test_vertex_ids_outside_the_host_are_caught_at_the_boundary():
+    """The entries that take raw separations or decompositions answer False
+    or raise on an id outside the graph; every other entry takes a system
+    that one of them has already checked."""
+    g = path_graph(3)
+    sep = Separation.of({0, 1, 5}, {1, 2})
+    td = TreeDecomposition(
+        Graph.from_edges(2, [(0, 1)]), (frozenset({0, 1}), frozenset({1, 2, 7}))
+    )
+    assert not is_separation(g, sep)
+    assert not validate_td(g, td)
+    with pytest.raises(ValueError, match="not a separation of the host graph"):
+        nss_from_separations(g, [sep])
+    with pytest.raises(ValueError, match="invalid tree-decomposition"):
+        td_to_nss(g, td)
+
+
 # ---------------------------------------------------------------------------
 # clean-up
 
@@ -318,3 +342,26 @@ def test_td_json_round_trip():
         Graph.from_edges(2, [(0, 1)]), (frozenset({0, 1}), frozenset({1, 2}))
     )
     assert TreeDecomposition.from_json(td.to_json()) == td
+
+
+@pytest.mark.parametrize(
+    "decode, obj",
+    [
+        (graph_from_json, {"n": 3.7, "edges": []}),
+        (graph_from_json, {"n": "3", "edges": []}),
+        (graph_from_json, {"n": True, "edges": []}),
+        (graph_from_json, {"n": 3, "edges": [[0.0, 1.0]]}),
+        (graph_from_json, {"n": 3, "edges": [[0, False]]}),
+        (Separation.from_json, {"a": [0, 1.5], "b": [1]}),
+        (Separation.from_json, {"a": [0, 1], "b": [True]}),
+        (TreeDecomposition.from_json, {"tree": {"n": 1, "edges": []}, "parts": [[0.5]]}),
+        (TreeDecomposition.from_json, {"tree": {"n": 1.0, "edges": []}, "parts": [[0]]}),
+        (
+            NestedSeparationSystem.from_json,
+            {"graph": {"n": 2, "edges": [[0, 1]]}, "separations": [{"a": [0, 1], "b": ["1"]}]},
+        ),
+    ],
+)
+def test_json_decoders_reject_non_integer_ids(decode, obj):
+    with pytest.raises(ValueError, match="expected an integer"):
+        decode(obj)
