@@ -53,21 +53,12 @@ def _canon_key(g: Graph, perm: list[int]) -> tuple[tuple[int, int], ...]:
 
 
 def _search(g: Graph, colors: list[int]) -> tuple[tuple, list[int], int]:
-    n = g.n
-    colors = _refine(g.adjacency, colors)
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    target = None
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            target = cells[c]
-            break
-    if target is None:
-        perm = [0] * n
-        for v in range(n):
-            perm[v] = colors[v]
-        return _canon_key(g, perm), perm, 1
+    colors = _refine(g.adjacency, colors)  # dense ranks 0, 1, ...
+    ranks = sorted(colors)
+    cell = next((c for c, d in zip(ranks, ranks[1:]) if c == d), None)  # least repeated rank
+    if cell is None:  # discrete: the ranks are the permutation
+        return _canon_key(g, colors), colors, 1
+    target = [v for v, c in enumerate(colors) if c == cell]
     best_key = None
     best_perm: list[int] = []
     leaves = 0

@@ -124,7 +124,7 @@ def _min_max_decomposition(
     parts: list[frozenset[int]] = []
     edges: list[tuple[int, int]] = []
 
-    def emit(struct: tuple, parent: int | None) -> None:
+    def emit(struct: tuple, parent: int | None) -> int:
         part, children = struct
         idx = len(parts)
         parts.append(frozenset(_bits(part)))
@@ -132,13 +132,11 @@ def _min_max_decomposition(
             edges.append((parent, idx))
         for ch in children:
             emit(ch, idx)
+        return idx
 
-    root_ids = []
-    for s in structures:
-        root_ids.append(len(parts))
-        emit(s, None)
-    for r1, r2 in zip(root_ids, root_ids[1:]):
-        edges.append((r1, r2))
+    root = None
+    for s in structures:  # each root hangs off the previous one
+        root = emit(s, root)
     td = TreeDecomposition(Graph.from_edges(len(parts), edges), tuple(parts))
     return value, td
 

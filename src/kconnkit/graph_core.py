@@ -14,8 +14,8 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
-class SizeGuardError(Exception):
-    """Raised when an exact search would exceed its documented size guard."""
+class SizeGuardError(RuntimeError):
+    """Raised when a search would exceed its named ``_MAX_*`` size guard."""
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +280,14 @@ def is_separation(g: Graph, s: Separation) -> bool:
 # is Edmonds-Karp with neighbours scanned in a fixed ascending order, so
 # witnesses are reproducible.
 #
-# Only residual capacities are kept: every arc is paired with a reverse arc
-# of capacity 0, so the flow on arc e is the residual cap[e ^ 1].  A
-# search seeds every a_in node, never enters one, and stops at the first
-# b_out node, so each flow path meets a only at its start and b only at its
+# Arc layout, built once per host by ``_flow_net``: arc 2v is v's split arc
+# v_in -> v_out, and the i-th sorted edge (u, w) gives arcs 2n + 4i,
+# u_out -> w_in, and 2n + 4i + 2, w_out -> u_in.  Every arc e is paired with
+# a reverse arc e ^ 1 of capacity 0, so head[e ^ 1] is e's tail and the flow
+# on e is the residual cap[e ^ 1].  Source and sink are virtual: a search
+# seeds every a_in node, never enters one, and stops at the first b_out
+# node.  So the arrays never change between flows, only the capacity vector
+# is copied, and each flow path meets a only at its start and b only at its
 # end.  The last, failed search of a weighted flow reaches exactly the
 # source side of the interior-first minimum cut closest to a, and the
 # vertices whose split arc leaves that side are the separator of menger.
@@ -312,43 +316,19 @@ class MengerResult:
     separator: frozenset[int]
 
 
-class _FlowNet:
-    """Static flow-network skeleton for one host graph.
-
-    Source and sink are virtual: augmenting searches seed every a_in node
-    and stop at the first b_out node, so the arc arrays never change between
-    calls and only the capacity vector is copied.
-    """
-
-    __slots__ = ("head", "cap0", "out")
-
-    def __init__(self, g: Graph):
-        self.head: list[int] = []
-        self.cap0: list[int] = []
-        self.out: list[list[int]] = [[] for _ in range(2 * g.n)]
-        big = (g.n + 3) * g.n + 1
-        for v in range(g.n):
-            _add_arc(self.out, self.head, self.cap0, 2 * v, 2 * v + 1, 1)
-        for u, v in sorted(g.edges):
-            _add_arc(self.out, self.head, self.cap0, 2 * u + 1, 2 * v, big)
-            _add_arc(self.out, self.head, self.cap0, 2 * v + 1, 2 * u, big)
-        self.out = [tuple(arcs) for arcs in self.out]  # type: ignore[assignment]
-
-
-def _add_arc(
-    out: list[list[int]], head: list[int], cap: list[int], u: int, v: int, c: int
-) -> None:
-    out[u].append(len(head))
-    head.append(v)
-    cap.append(c)
-    out[v].append(len(head))
-    head.append(u)
-    cap.append(0)
-
-
 @lru_cache(maxsize=4096)
-def _flow_net(g: Graph) -> _FlowNet:
-    return _FlowNet(g)
+def _flow_net(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The arc heads, starting capacities and arcs out of each node of
+    ``g``'s flow network (see the arc layout above)."""
+    big = (g.n + 3) * g.n + 1
+    head = [x for v in range(g.n) for x in (2 * v + 1, 2 * v)]
+    for u, w in sorted(g.edges):
+        head += (2 * w, 2 * u + 1, 2 * u, 2 * w + 1)
+    cap0 = (1, 0) * g.n + (big, 0, big, 0) * len(g.edges)
+    out: list[list[int]] = [[] for _ in range(2 * g.n)]
+    for e in range(len(head)):
+        out[head[e ^ 1]].append(e)
+    return tuple(head), cap0, tuple(map(tuple, out))
 
 
 def _run_flow(
@@ -369,10 +349,8 @@ def _run_flow(
     passes through here, so this is where vertex ids are range-checked.
     """
     check_vertices(g, fa | fb)
-    net = _flow_net(g)
-    head = net.head
-    out = net.out
-    cap = net.cap0.copy()
+    head, cap0, out = _flow_net(g)
+    cap = list(cap0)
     if weighted:
         k_unit = g.n + 2
         for v in range(g.n):
@@ -450,14 +428,8 @@ def _disjoint_paths(
     """The path system of :func:`menger` in ``g[within]``, in ``g``'s ids:
     the flow followed from each a-vertex whose split arc it uses."""
     count, cap, _ = _run_flow(g, fa, fb, within=within)
-    succ: dict[int, int] = {}
-    arc = 2 * g.n
-    for u, v in sorted(g.edges):
-        if cap[arc + 1] > 0:
-            succ[u] = v
-        if cap[arc + 3] > 0:
-            succ[v] = u
-        arc += 4
+    head = _flow_net(g)[0]
+    succ = {head[e ^ 1] >> 1: head[e] >> 1 for e in range(2 * g.n, len(head), 2) if cap[e ^ 1] > 0}
 
     paths: list[tuple[int, ...]] = []
     for s in sorted(fa):

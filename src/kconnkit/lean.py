@@ -24,8 +24,8 @@ from typing import Callable
 
 # menger and menger_count are unused here but kept: the benchmark's tracer
 # wraps lean.menger and lean.menger_count.
-from .graph_core import Graph, _bits, _disjoint_paths, _mask_of, _min_separator, check_k
-from .graph_core import check_vertices, reachable_mask
+from .graph_core import Graph, SizeGuardError, _bits, _disjoint_paths, _mask_of, _min_separator
+from .graph_core import check_k, check_vertices, reachable_mask
 from .graph_core import menger, menger_count  # noqa: F401
 from .kconn import first_failed_pair
 from .sepsys import NestedSeparationSystem, TreeDecomposition, consistent_orientations, part_of
@@ -137,7 +137,7 @@ def build_k_lean_td(g: Graph, k: int) -> TreeDecomposition:
             return td
         rounds += 1
         if rounds > _MAX_ROUNDS:
-            raise RuntimeError(f"k-lean refinement exceeded _MAX_ROUNDS = {_MAX_ROUNDS} splits")
+            raise SizeGuardError(f"k-lean refinement exceeded _MAX_ROUNDS = {_MAX_ROUNDS} splits")
         parts, edges = _split_on_violation(g, td, verdict)
         parts, edges = _normalize(parts, edges)
 

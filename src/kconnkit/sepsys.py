@@ -90,9 +90,6 @@ def nss_from_separations(g: Graph, seps: Iterable[Separation]) -> NestedSeparati
 class Orientation:
     chosen: frozenset[Separation]
 
-    def sort_key(self) -> tuple:
-        return tuple(s.sort_key() for s in sorted(self.chosen, key=Separation.sort_key))
-
 
 def is_consistent(n: NestedSeparationSystem, o: Orientation) -> bool:
     for s in o.chosen:
@@ -103,10 +100,13 @@ def is_consistent(n: NestedSeparationSystem, o: Orientation) -> bool:
 
 
 def consistent_orientations(n: NestedSeparationSystem) -> list[Orientation]:
-    """All consistent orientations, in deterministic order.
+    """All consistent orientations, sorted by their sorted members.
 
-    The empty system has exactly one orientation (the empty one) whose part
-    is the whole vertex set.
+    The search emits them in that order: pairs are ordered by their smaller
+    member, which is tried first.  Two orientations that first differ at the
+    pair with smaller member m agree below m, since later pairs lie above m,
+    and only the earlier one holds m.  The empty system has one orientation,
+    the empty one, whose part is the whole vertex set.
     """
     pairs = n.pairs
     out: list[Orientation] = []
@@ -129,7 +129,6 @@ def consistent_orientations(n: NestedSeparationSystem) -> list[Orientation]:
                 chosen.pop()
 
     extend(0, [])
-    out.sort(key=Orientation.sort_key)
     return out
 
 
@@ -215,11 +214,9 @@ def nss_to_td(n: NestedSeparationSystem) -> TreeDecomposition:
     parts = tuple(part_of(n, o) for o in orientations)
     edges = []
     for i, j in itertools.combinations(range(len(orientations)), 2):
-        diff = orientations[i].chosen ^ orientations[j].chosen
-        if len(diff) == 2:
-            s1, s2 = sorted(diff, key=Separation.sort_key)
-            if s1 == s2.inverse():
-                edges.append((i, j))
+        # each holds one member of every pair: two differ in one pair
+        if len(orientations[i].chosen ^ orientations[j].chosen) == 2:
+            edges.append((i, j))
     tree = Graph.from_edges(len(orientations), edges)
     td = TreeDecomposition(tree, parts)
     if not tree.is_tree():

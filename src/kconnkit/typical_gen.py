@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Mapping
 
-from .graph_core import Graph, check_k, check_vertices, graph_from_json, graph_to_json
+from .graph_core import Graph, _json_int, check_k, check_vertices, graph_from_json, graph_to_json
 from .kconn import is_k_connected
 
 # ---------------------------------------------------------------------------
@@ -110,18 +110,39 @@ class CoreMarkedGraph:
 
     @staticmethod
     def from_json(obj: dict) -> "CoreMarkedGraph":
+        graph = graph_from_json(obj["graph"])
         parent = None
         parent_map = None
         if "parent" in obj:
             parent = CoreMarkedGraph.from_json(obj["parent"])
-            parent_map = {int(v): p for v, p in obj["parent_map"].items()}
+            parent_map = {}
+            for v, p in obj["parent_map"].items():  # keys are strings, values ints
+                parent_map[_json_vertex(graph, v)] = _json_vertex(parent.graph, _json_int(p))
         return CoreMarkedGraph(
-            graph=graph_from_json(obj["graph"]),
-            core=tuple(obj["core"]),
-            roles={int(v): Role(**r) for v, r in obj["roles"].items()},
+            graph=graph,
+            core=tuple(map(_json_int, obj["core"])),
+            roles={_json_vertex(graph, v): _role_from_json(r) for v, r in obj["roles"].items()},
             parent=parent,
             parent_map=parent_map,
         )
+
+
+def _json_vertex(g: Graph, x: object) -> int:
+    """A vertex of ``g`` read from JSON: an int, or an object key that is
+    exactly its decimal form."""
+    v = int(x) if isinstance(x, str) and x.isdecimal() and str(int(x)) == x else x
+    if _json_int(v) not in g.vertices:
+        raise ValueError(f"{x!r} is not a vertex of the graph")
+    return v
+
+
+def _role_from_json(obj: dict) -> Role:
+    """A role whose node and index are ints or null; no other field."""
+    unknown = set(obj) - {"kind", "node", "index"}
+    if unknown:
+        raise ValueError(f"unknown role fields {sorted(unknown)}")
+    node, index = (None if obj.get(f) is None else _json_int(obj[f]) for f in ("node", "index"))
+    return Role(obj["kind"], node, index)
 
 
 def interior_core_cutoff(cmg: CoreMarkedGraph, k: int) -> int | None:
@@ -243,10 +264,7 @@ class SingularBlueprint:
         _check_blueprint_pair(self.b, self.d)
         if 2 * len(self.d) > self.b.n:
             raise ValueError("d may cover at most half of the tree nodes")
-        k = self.k
-        if not self.ell + self.f < k:
-            raise ValueError("ell + f must stay below k")
-        expect = set(range(self.ell + self.f, k))
+        expect = set(range(self.ell + self.f, self.k))
         if set(self.sigma) != expect:
             raise ValueError(f"sigma must be defined exactly on {sorted(expect)}")
         seen = set()
@@ -441,19 +459,12 @@ def apply_blowups(
             if not 0 <= node < t.n:
                 raise ValueError("gamma must map into the tree")
 
-    order: list[tuple] = []
-    for u in g.vertices:
-        if u not in blowups:
-            order.append(("s", u))
+    survivors = {u: i for i, u in enumerate(u for u in g.vertices if u not in blowups)}
+    n = len(survivors)
+    copies = {}
     for v in sorted(blowups):
-        for node in blowups[v][0].vertices:
-            order.append(("c", v, node))
-    index = {label: i for i, label in enumerate(order)}
-    survivors = {u: index[("s", u)] for u in g.vertices if u not in blowups}
-    copies = {
-        v: {node: index[("c", v, node)] for node in blowups[v][0].vertices}
-        for v in blowups
-    }
+        copies[v] = {node: n + node for node in blowups[v][0].vertices}
+        n += blowups[v][0].n
 
     def endpoint(u: int, other: int) -> int:
         if u in blowups:
@@ -466,7 +477,7 @@ def apply_blowups(
     for v in blowups:
         for a, bnode in blowups[v][0].edges:
             edges.add(tuple(sorted((copies[v][a], copies[v][bnode]))))
-    return Graph(len(order), frozenset(edges)), survivors, copies
+    return Graph(n, frozenset(edges)), survivors, copies
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +523,14 @@ class PathBlowup:
     gamma: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        seq = _path_sequence(self.path)
-        if seq is None:
+        p = self.path
+        if not p.is_tree() or any(p.degree(v) > 2 for v in p.vertices):
             raise ValueError("blow-up pattern must be a path")
-        if seq[0] != self.v0:
-            if seq[-1] != self.v0:
-                raise ValueError("v0 must be an endnode")
-            seq = list(reversed(seq))
+        if self.v0 not in p.vertices or p.degree(self.v0) > 1:
+            raise ValueError("v0 must be an endnode")
+        seq = [self.v0]
+        while len(seq) < p.n:  # walk the path from v0
+            seq.extend(p.neighbors(seq[-1]) - set(seq[-2:]))
         if seq[-1] != self.v1:
             raise ValueError("v1 must be the other endnode")
         pos = {node: i for i, node in enumerate(seq)}
@@ -538,23 +550,6 @@ class PathBlowup:
     @property
     def length(self) -> int:
         return len(self.path.edges)
-
-
-def _path_sequence(g: Graph) -> list[int] | None:
-    if not g.is_tree():
-        return None
-    if g.n == 1:
-        return [0]
-    ends = [v for v in g.vertices if g.degree(v) == 1]
-    if len(ends) != 2 or any(g.degree(v) > 2 for v in g.vertices):
-        return None
-    seq = [min(ends)]
-    prev = None
-    while len(seq) < g.n:
-        nxt = [w for w in g.neighbors(seq[-1]) if w != prev]
-        prev = seq[-1]
-        seq.append(nxt[0])
-    return seq
 
 
 @dataclass(frozen=True)

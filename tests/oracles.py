@@ -520,3 +520,12 @@ def random_nested_system(rng, g: Graph, tries: int = 12, allow_improper: bool = 
         if all(is_nested_pair(cand, t) for t in chosen):
             chosen.append(cand)
     return nss_from_separations(g, chosen)
+
+
+def outcome(call: Callable[[], object]) -> object:
+    """What ``call()`` returns, or the message of the ``ValueError`` it
+    raises: one value for table-driven tests of accept and reject paths."""
+    try:
+        return call()
+    except ValueError as e:
+        return str(e)

@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from kconnkit import canon
 from kconnkit.canon import (
     automorphism_count,
@@ -17,6 +19,7 @@ from kconnkit.typical_gen import GoodSequence, gen_complete_bipartite, gen_degen
 from oracles import (
     backtrack_automorphism_count,
     labeled_connected_count,
+    outcome,
     random_graph,
     unpruned_canonical_perm,
 )
@@ -207,3 +210,23 @@ def test_isomorphic_pairs_pass_the_degree_precheck():
     rng = random.Random(11)
     for g in list(connected_graphs(6)) + _canon_corpus_families():
         assert is_isomorphic(_relabelled(rng, g), _relabelled(rng, g))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # same order and size, degrees 1, 1, 2, 2 against 1, 1, 1, 3
+        pytest.param(
+            lambda: is_isomorphic(path_graph(4), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])),
+            False,
+            id="degree-sequences-differ",
+        ),
+        pytest.param(lambda: is_isomorphic(path_graph(3), path_graph(4)), False, id="orders-differ"),
+        pytest.param(
+            lambda: to_graph6(path_graph(63)), "graph6 small form supports n <= 62 only", id="graph6-n-63"
+        ),
+        pytest.param(lambda: to_graph6(path_graph(62))[0], chr(63 + 62), id="graph6-n-62"),
+    ],
+)
+def test_canon_rejections(call, expected):
+    assert outcome(call) == expected

@@ -27,6 +27,7 @@ from duality_census import bounds_hold, census_cases
 from oracles import (
     frozenset_min_max_decomposition,
     min_separator_size,
+    outcome,
     pair_scan_is_k_connected,
     pull_tree_width,
     random_connected_graph,
@@ -289,3 +290,31 @@ def test_sec1_bounds_seeded_sample():
                 assert rep.gj_lower_ok
             if rep.gj_upper_ok is not None:
                 assert rep.gj_upper_ok
+
+
+P3_TWO_PARTS = TreeDecomposition(Graph.from_edges(2, [(0, 1)]), (frozenset({0, 1}), frozenset({1, 2})))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # adhesion {1} is not below k = 1, although each part is small
+        pytest.param(
+            lambda: verify_td_certificate(path_graph(3), frozenset({0, 2}), 1, 3, P3_TWO_PARTS),
+            False,
+            id="adhesion-not-below-k",
+        ),
+        pytest.param(
+            lambda: verify_td_certificate(path_graph(3), frozenset({0, 2}), 2, 3, P3_TWO_PARTS),
+            True,
+            id="certificate-holds",
+        ),
+        pytest.param(
+            lambda: _min_max_decomposition(Graph.from_edges(0), 2, len),
+            (0, TreeDecomposition(Graph.from_edges(1), (frozenset(),))),
+            id="empty-graph",
+        ),
+    ],
+)
+def test_duality_rejections(call, expected):
+    assert outcome(call) == expected

@@ -13,6 +13,7 @@ from kconnkit.graph_core import (
     complete_bipartite_graph,
     complete_graph,
     components,
+    cycle_graph,
     graph_from_json_str,
     graph_to_dot,
     graph_to_json_str,
@@ -29,6 +30,7 @@ from oracles import (
     brute_menger_separator,
     brute_max_disjoint_paths,
     min_separator_size,
+    outcome,
     random_graph,
     subgraph_disjoint_paths,
 )
@@ -305,3 +307,42 @@ def test_path_system_validation_catches_overlap():
     g = complete_graph(4)
     ps = PathSystem(((0, 1), (2, 1)))
     assert not validate_path_system(g, ps, {0, 2}, {1})
+
+
+P4 = path_graph(4)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: Graph(-1, frozenset()), "vertex count must be non-negative", id="negative-n"),
+        pytest.param(
+            lambda: P4.relabel([0, 0, 1, 2]), "perm must be a permutation of the vertices", id="not-a-permutation"
+        ),
+        pytest.param(lambda: cycle_graph(2), "cycle needs at least 3 vertices", id="cycle-of-two"),
+        pytest.param(lambda: validate_path_system(P4, PathSystem(((0, 1, 2, 3),)), {0}, {3}), True, id="valid"),
+        pytest.param(lambda: validate_path_system(P4, PathSystem(((),)), {0}, {3}), False, id="empty-path"),
+        pytest.param(
+            lambda: validate_path_system(P4, PathSystem(((1, 2, 3),)), {0}, {3}), False, id="start-outside-a"
+        ),
+        pytest.param(
+            lambda: validate_path_system(P4, PathSystem(((0, 1, 2),)), {0}, {3}), False, id="end-outside-b"
+        ),
+        pytest.param(
+            lambda: validate_path_system(P4, PathSystem(((0, 1, 2, 3),)), {0, 1}, {3}), False, id="interior-in-a"
+        ),
+        pytest.param(lambda: validate_path_system(P4, PathSystem(((0, 2, 3),)), {0}, {3}), False, id="non-edge"),
+        pytest.param(
+            lambda: validate_path_system(P4, PathSystem(((0, 1, 2, 1, 2, 3),)), {0}, {3}),
+            False,
+            id="repeated-vertex",
+        ),
+        pytest.param(
+            lambda: validate_path_system(complete_graph(4), PathSystem(((0, 2, 3), (1, 2, 3))), {0, 1}, {3}),
+            False,
+            id="shared-vertex",
+        ),
+    ],
+)
+def test_graph_core_rejections(call, expected):
+    assert outcome(call) == expected

@@ -406,6 +406,11 @@ def test_star_or_path_rejects_m_below_one():
             star_or_path(path_graph(4), {0, 3}, m)
 
 
+def test_star_or_path_rejects_empty_u():
+    with pytest.raises(ValueError, match="u must be non-empty"):
+        star_or_path(path_graph(4), set(), 1)
+
+
 def test_star_or_path_on_a_long_path():
     # the tree recipe walks its tree without recursion
     res = star_or_path(path_graph(1500), range(1500), 3)

@@ -6,7 +6,15 @@ import pytest
 
 from kconnkit import graph_core, lean
 from kconnkit.canon import connected_graphs
-from kconnkit.graph_core import Graph, Separation, complete_graph, cycle_graph, menger, path_graph
+from kconnkit.graph_core import (
+    Graph,
+    Separation,
+    SizeGuardError,
+    complete_graph,
+    cycle_graph,
+    menger,
+    path_graph,
+)
 from kconnkit.kconn import is_k_connected
 from kconnkit.lean import LeanViolation, build_k_lean_td, is_k_lean_nss, is_k_lean_td
 from kconnkit.sepsys import (
@@ -120,8 +128,9 @@ def test_build_gives_up_after_max_rounds(monkeypatch):
     one_part = TreeDecomposition(Graph.from_edges(1), (g.vertex_set,))
     assert is_k_lean_td(g, one_part, 2) is not True  # the host needs a split
     monkeypatch.setattr(lean, "_MAX_ROUNDS", 0)
-    with pytest.raises(RuntimeError, match="exceeded _MAX_ROUNDS = 0 splits"):
+    with pytest.raises(RuntimeError, match="exceeded _MAX_ROUNDS = 0 splits") as err:
         build_k_lean_td(g, 2)
+    assert err.type is SizeGuardError
 
 
 def test_split_runs_one_separator_flow_and_copies_nothing(monkeypatch):

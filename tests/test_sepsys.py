@@ -28,7 +28,7 @@ from kconnkit.sepsys import (
     tree_edge_sides,
     validate_td,
 )
-from oracles import random_connected_graph, random_nested_system, subtree_nodes
+from oracles import outcome, random_connected_graph, random_nested_system, subtree_nodes
 
 
 def _empty_nss(g: Graph) -> NestedSeparationSystem:
@@ -100,6 +100,32 @@ def test_all_enumerated_orientations_are_consistent():
         for o in consistent_orientations(n):
             assert is_consistent(n, o)
             assert len(o.chosen) == len(n.pairs)
+
+
+def test_orientations_come_out_sorted():
+    """The DFS emits the orientations in the order of their sorted members,
+    which is what lets ``consistent_orientations`` skip a final sort."""
+    rng = random.Random(1501)
+    improper = 0
+    for i in range(320):
+        g = random_connected_graph(rng, rng.randint(2, 8))
+        n = random_nested_system(rng, g, allow_improper=i % 3 == 0)
+        improper += any(g.vertex_set in (s.a, s.b) for s in n.seps)
+        keys = [tuple(sorted(s.sort_key() for s in o.chosen)) for o in consistent_orientations(n)]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+    assert improper >= 30
+
+
+def test_td_nodes_are_adjacent_iff_their_orientations_differ_on_one_pair():
+    rng = random.Random(1502)
+    for _ in range(120):
+        g = random_connected_graph(rng, rng.randint(2, 8))
+        n = _proper_subsystem(random_nested_system(rng, g))
+        orients = consistent_orientations(n)
+        td = nss_to_td(n)
+        for i, j in itertools.combinations(range(len(orients)), 2):
+            flipped = sum(orients[i].chosen & p != orients[j].chosen & p for p in n.pairs)
+            assert td.tree.has_edge(i, j) == (flipped == 1)
 
 
 def test_validate_td_trivial_and_broken():
@@ -365,3 +391,39 @@ def test_td_json_round_trip():
 def test_json_decoders_reject_non_integer_ids(decode, obj):
     with pytest.raises(ValueError, match="expected an integer"):
         decode(obj)
+
+
+P3_SEP = Separation.of({0, 1}, {1, 2})
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: NestedSeparationSystem(path_graph(3), frozenset({P3_SEP})),
+            f"system is not symmetric at {P3_SEP}",
+            id="not-symmetric",
+        ),
+        pytest.param(
+            # (1, 012) <= (01, 12) is in the system but not chosen
+            lambda: is_consistent(
+                nss_from_separations(path_graph(3), [P3_SEP, Separation.of({1}, {0, 1, 2})]),
+                Orientation(frozenset({P3_SEP, Separation.of({0, 1, 2}, {1})})),
+            ),
+            False,
+            id="inconsistent-orientation",
+        ),
+        pytest.param(
+            lambda: TreeDecomposition(Graph.from_edges(2), (frozenset({0}),)),
+            "one part per tree node required",
+            id="td-parts",
+        ),
+        pytest.param(
+            lambda: validate_td(path_graph(2), TreeDecomposition(Graph.from_edges(2), (frozenset({0, 1}),) * 2)),
+            False,
+            id="td-not-a-tree",
+        ),
+    ],
+)
+def test_sepsys_rejections(call, expected):
+    assert outcome(call) == expected

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kconnkit.canon import is_isomorphic
-from kconnkit.graph_core import Graph, Separation, complete_bipartite_graph, path_graph
+from kconnkit.graph_core import Graph, Separation, complete_bipartite_graph, cycle_graph, path_graph
 from kconnkit.kconn import is_k_connected
 from kconnkit.sepsys import NestedSeparationSystem, TreeDecomposition, nss_to_td
 from kconnkit.typical_gen import (
@@ -25,6 +25,7 @@ from kconnkit.typical_gen import (
     gen_degenerate_frayed,
     gen_generalised,
     gen_generalised_complete_bipartite,
+    gen_generalised_degenerate_frayed,
     gen_generalised_regular,
     gen_generalised_singular,
     gen_layer_product,
@@ -33,7 +34,7 @@ from kconnkit.typical_gen import (
     interior_core_cutoff,
     two_bipartite_matched,
 )
-from oracles import random_connected_graph, random_graph, random_nested_system
+from oracles import outcome, random_connected_graph, random_graph, random_nested_system
 
 # Fixture recipes: a path c-a-b-d with the far leaf contracted, and the
 # glued seven-family on the same path.
@@ -123,6 +124,15 @@ def test_layer_product_single_layer_is_blueprint():
     b = path_graph(4)
     cmg = gen_layer_product(b, {3}, 1)
     assert is_isomorphic(cmg.graph, b)
+
+
+def test_layer_product_contracts_a_smaller_endpoint():
+    # the edge (0, 1) of the blueprint has its smaller endpoint in d
+    cmg = gen_layer_product(path_graph(3), {0}, 3)
+    (dom,) = cmg.with_kind("dominating")
+    copies = [v for v, r in cmg.roles.items() if r.kind == "layer" and r.node == 1]
+    assert len(copies) == 3
+    assert cmg.graph.neighbors(dom) == frozenset(copies)
 
 
 def test_layer_product_rejects_bad_blueprint():
@@ -301,6 +311,58 @@ def test_path_blowup_rejects_nodes_off_the_path():
     for args in ((0, 7, 2, 2, {}), (0, 0, 7, 2, {}), (0, 0, 2, 2, {5: 7})):
         with pytest.raises(ValueError, match="node 7 is not on the path"):
             PathBlowup(path, *args)
+
+
+def _path_blowup_outcome(*args) -> object:
+    result = outcome(lambda: PathBlowup(*args))
+    return "ok" if isinstance(result, PathBlowup) else result
+
+
+def test_path_blowup_reads_the_same_from_either_end():
+    """With v0 at the larger-id end the path is read from that end: every
+    blow-up is accepted or rejected, with the same message, as its mirror
+    image with v0 at the smaller end."""
+    for n in range(1, 6):
+        path = path_graph(n)
+        for v0, vbot, vtop, v1, node in itertools.product(range(n), repeat=5):
+            for gamma in ({}, {0: node}):
+                mirror = [n - 1 - x for x in (v0, vbot, vtop, v1)]
+                mirror_gamma = {i: n - 1 - x for i, x in gamma.items()}
+                assert _path_blowup_outcome(path, v0, vbot, vtop, v1, gamma) == (
+                    _path_blowup_outcome(path, *mirror, mirror_gamma)
+                )
+
+
+@pytest.mark.parametrize(
+    "path, args, outcome",
+    [
+        # the path 2 - 0 - 3 - 1, with v0 = 2 at its larger-id end
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 2, 1, 1, {5: 0}), "ok"),
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 0, 3, 1, {5: 0, 6: 3}), "ok"),
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (0, 0, 3, 1, {}), "v0 must be an endnode"),
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 0, 3, 3, {}), "v1 must be the other endnode"),
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 2, 1, 1, {5: 9}), "node 9 is not on the path"),
+        (
+            Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]),
+            (2, 3, 1, 1, {}),
+            "vbot must equal v0 or be adjacent to it",
+        ),
+        (
+            Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]),
+            (2, 2, 0, 1, {}),
+            "vtop must equal v1 or be adjacent to it",
+        ),
+        (
+            Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]),
+            (2, 0, 3, 1, {5: 2}),
+            "attachments must land between vbot and vtop",
+        ),
+        (Graph.from_edges(2, [(0, 1)]), (1, 0, 1, 0, {}), "vbot must not pass vtop"),
+        (Graph.from_edges(2, [(0, 1)]), (1, 1, 0, 0, {5: 0}), "ok"),
+    ],
+)
+def test_path_blowup_with_v0_at_the_larger_end(path, args, outcome):
+    assert _path_blowup_outcome(path, *args) == outcome
 
 
 def test_blow_up_rejects_vertices_outside_the_graph():
@@ -493,3 +555,220 @@ def test_cmg_json_round_trip_with_parent():
     assert back.roles == dict(gen.roles)
     assert back.parent.graph == gen.parent.graph
     assert dict(back.parent_map) == dict(gen.parent_map)
+
+
+def _rekey(mapping: dict, old: str, new: str) -> None:
+    mapping[new] = mapping.pop(old)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda o: o.update(core=[1.0, True]), "expected an integer in JSON, got 1.0"),
+        (lambda o: o.update(core=[True]), "expected an integer in JSON, got True"),
+        (lambda o: o["roles"].update({"01": {"kind": "matched"}}), "got '01'"),
+        (lambda o: _rekey(o["roles"], "1", " 1"), "got ' 1'"),
+        (lambda o: _rekey(o["roles"], "1", "one"), "got 'one'"),
+        (lambda o: o["roles"].update({"4": {"kind": "core"}}), "'4' is not a vertex"),
+        (lambda o: o["roles"]["1"].update(node=1.5), "expected an integer in JSON, got 1.5"),
+        (lambda o: o["roles"]["1"].update(index=True), "expected an integer in JSON, got True"),
+        (lambda o: o["roles"]["1"].update(colour=3), r"unknown role fields \['colour'\]"),
+        (lambda o: o["parent_map"].update({"1": 7.5}), "expected an integer in JSON, got 7.5"),
+        (lambda o: o["parent_map"].update({"1": 3}), "3 is not a vertex"),
+        (lambda o: o["parent_map"].update({"1": "0"}), "expected an integer in JSON, got '0'"),
+        (lambda o: _rekey(o["parent_map"], "3", "03"), "got '03'"),
+    ],
+)
+def test_cmg_from_json_accepts_only_vertex_ids(mutate, message):
+    t1 = Type1Template(Graph.from_edges(2, [(0, 1)]), {0: 0, 1: 1}, 0, 2)
+    obj = gen_generalised_complete_bipartite(2, 1, t1).to_json()
+    assert CoreMarkedGraph.from_json(obj).roles[1] == Role("finite_side", node=1)
+    mutate(obj)
+    with pytest.raises(ValueError, match=message):
+        CoreMarkedGraph.from_json(obj)
+
+
+EDGE = Graph.from_edges(2, [(0, 1)])
+STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+SIMPLE2 = simple_type2(FIG2_BP)
+NONSIMPLE2 = nonsimple_type2(FIG4_SBP.b, FIG4_SBP.d)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: Role("vertex"), "unknown role kind 'vertex'", id="role-kind"),
+        pytest.param(
+            lambda: CoreMarkedGraph(EDGE, (), {0: Role("core")}),
+            "roles must cover every vertex exactly",
+            id="cmg-roles",
+        ),
+        pytest.param(
+            lambda: CoreMarkedGraph(EDGE, (2,), {0: Role("core"), 1: Role("core")}),
+            "core must consist of vertices",
+            id="cmg-core",
+        ),
+        pytest.param(
+            lambda: RegularBlueprint(cycle_graph(3), frozenset(), 0),
+            "blueprint tree must be a tree",
+            id="blueprint-tree",
+        ),
+        pytest.param(
+            lambda: RegularBlueprint(path_graph(3), frozenset({1}), 0),
+            "d must be a set of leaves of the blueprint tree",
+            id="blueprint-leaves",
+        ),
+        pytest.param(
+            lambda: RegularBlueprint(EDGE, frozenset({0, 1}), 0),
+            "d must leave at least one tree node",
+            id="blueprint-d-everything",
+        ),
+        pytest.param(
+            lambda: RegularBlueprint(path_graph(3), frozenset({2}), 2),
+            "c must be a tree node outside d",
+            id="blueprint-c-in-d",
+        ),
+        pytest.param(
+            lambda: RegularBlueprint(path_graph(3), frozenset(), 3),
+            "c must be a tree node outside d",
+            id="blueprint-c-off-tree",
+        ),
+        pytest.param(lambda: GoodSequence((0, 1)), "sizes must be positive", id="sequence-positive"),
+        pytest.param(lambda: GoodSequence((2, 2)), "sizes must be strictly ascending", id="sequence-ascending"),
+        pytest.param(lambda: GoodSequence(()), "sequence must be non-empty", id="sequence-empty"),
+        pytest.param(
+            lambda: SingularBlueprint(-1, 0, EDGE, frozenset(), {}),
+            "ell and f must be non-negative",
+            id="singular-ell",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 0, path_graph(3), frozenset({0, 2}), {}),
+            "d may cover at most half of the tree nodes",
+            id="singular-d-half",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 0, EDGE, frozenset(), {0: (0, 0)}),
+            "sigma must be defined exactly on [0, 1]",
+            id="singular-sigma-domain",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 0, EDGE, frozenset({1}), {0: (1, 0), 1: (0, 0)}),
+            "sigma nodes must avoid d",
+            id="singular-sigma-in-d",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 0, EDGE, frozenset(), {0: (5, 0), 1: (0, 0)}),
+            "sigma nodes must avoid d",
+            id="singular-sigma-off-tree",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 0, EDGE, frozenset(), {0: (0, 2), 1: (1, 0)}),
+            "sigma parity must be 0 or 1",
+            id="singular-sigma-parity",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 0, EDGE, frozenset(), {0: (0, 0), 1: (0, 0)}),
+            "sigma must be injective",
+            id="singular-sigma-injective",
+        ),
+        pytest.param(lambda: gen_complete_bipartite(-1, 2), "need k >= 0 and m >= 1", id="bipartite-k"),
+        pytest.param(lambda: gen_complete_bipartite(1, 0), "need k >= 0 and m >= 1", id="bipartite-m"),
+        pytest.param(
+            lambda: gen_layer_product(path_graph(3), {0}, 0), "layers must be at least 1", id="product-layers"
+        ),
+        pytest.param(lambda: gen_regular_typical(FIG2_BP, 0), "layers must be at least 1", id="regular-layers"),
+        pytest.param(lambda: gen_degenerate_frayed(2, 3, SEQ234), "need 0 <= ell <= k", id="frayed-ell"),
+        pytest.param(
+            lambda: gen_singular_typical(FIG4_SBP, SEQ234, 6),
+            "blueprint describes k=7, requested k=6 (inconsistent dimensions)",
+            id="singular-k",
+        ),
+        pytest.param(lambda: two_bipartite_matched(0), "m must be at least 1", id="matched-m"),
+        pytest.param(
+            lambda: apply_blowups(path_graph(3), {1: (cycle_graph(3), {0: 0, 2: 0})}),
+            "blow-up pattern must be a tree",
+            id="blowup-tree",
+        ),
+        pytest.param(
+            lambda: apply_blowups(path_graph(3), {1: (Graph.from_edges(1), {0: 0})}),
+            "gamma not total on neighbours of 1: missing [2]",
+            id="blowup-gamma-total",
+        ),
+        pytest.param(
+            lambda: apply_blowups(path_graph(3), {1: (Graph.from_edges(1), {0: 0, 2: 1})}),
+            "gamma must map into the tree",
+            id="blowup-gamma-range",
+        ),
+        pytest.param(
+            lambda: Type1Template(cycle_graph(3), {}, 0, 0), "template tree must be a tree", id="type1-tree"
+        ),
+        pytest.param(
+            lambda: Type1Template(EDGE, {0: 0}, 0, 2), "gamma must cover exactly [0, 2)", id="type1-gamma-domain"
+        ),
+        pytest.param(lambda: Type1Template(EDGE, {0: 0, 1: 1}, 2, 2), "c must be a tree node", id="type1-c"),
+        pytest.param(
+            lambda: Type1Template(path_graph(3), {0: 0}, 0, 1),
+            "node 1 of low degree is neither c nor attached",
+            id="type1-low-degree",
+        ),
+        # a tree that passes the degree check has at most 2k nodes, so only a
+        # negative k reaches the size check
+        pytest.param(
+            lambda: Type1Template(Graph.from_edges(1), {}, 0, -1), "template tree too large", id="type1-size"
+        ),
+        pytest.param(
+            lambda: PathBlowup(STAR, 1, 1, 2, 2, {}), "blow-up pattern must be a path", id="path-blowup-star"
+        ),
+        pytest.param(
+            lambda: Type2Template({}, 4).validate_for(FIG2_BP.b, FIG2_BP.d),
+            "one entry per non-d blueprint node required",
+            id="type2-entries",
+        ),
+        pytest.param(
+            lambda: Type2Template(NONSIMPLE2.entries, 0).validate_for(FIG4_SBP.b, FIG4_SBP.d),
+            "blow-up path too long",
+            id="type2-length",
+        ),
+        pytest.param(
+            lambda: Type2Template({**SIMPLE2.entries, 0: PathBlowup(EDGE, 0, 0, 1, 1, {})}, 4).validate_for(
+                FIG2_BP.b, FIG2_BP.d
+            ),
+            "gamma of node 0 must cover its blueprint neighbours",
+            id="type2-gamma",
+        ),
+        pytest.param(
+            lambda: gen_generalised_complete_bipartite(3, 4, edge_template(2)),
+            "template arity does not match k",
+            id="generalised-bipartite-arity",
+        ),
+        pytest.param(
+            lambda: gen_generalised_degenerate_frayed(3, 1, SEQ234, edge_template(2)),
+            "template arity does not match k",
+            id="generalised-frayed-arity",
+        ),
+        pytest.param(
+            lambda: gen_generalised_regular(FIG2_BP, 3, Type2Template(SIMPLE2.entries, 3)),
+            "template arity does not match the blueprint order",
+            id="generalised-regular-arity",
+        ),
+        pytest.param(
+            lambda: gen_generalised_singular(FIG4_SBP, SEQ234, 7, Type3Template(edge_template(2), NONSIMPLE2)),
+            "tree template arity must be ell + f",
+            id="generalised-singular-tree-arity",
+        ),
+        pytest.param(
+            lambda: gen_generalised_singular(
+                FIG4_SBP, SEQ234, 7, Type3Template(edge_template(3), Type2Template(NONSIMPLE2.entries, 3))
+            ),
+            "path template arity must be k - ell - f",
+            id="generalised-singular-path-arity",
+        ),
+        pytest.param(
+            lambda: gen_generalised("tree"),
+            "unknown family 'tree'; choose from ['complete-bipartite', 'frayed', 'regular', 'singular']",
+            id="generalised-family",
+        ),
+    ],
+)
+def test_typical_gen_rejections(call, expected):
+    assert outcome(call) == expected

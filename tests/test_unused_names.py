@@ -1,9 +1,13 @@
-"""No module of ``src/kconnkit/`` defines a private name that nothing uses.
+"""No module of ``src/kconnkit/`` defines a name that nothing uses.
 
 A module-level ``_name`` (function, class or assignment; dunders exempt)
 counts as used when some module of the package loads it, as a bare name or
 as an attribute, outside its own definition.  So a helper that only calls
 itself, or is only imported, is dead.
+
+A public module-level name counts as used when some top-level statement of
+``src/``, ``tests/`` or ``perfbench/`` other than its own definition loads
+it, as a name or an attribute, or imports it.
 """
 
 import ast
@@ -13,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "kconnkit").glob("*.py"))
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _defined(node: ast.stmt) -> list[str]:
@@ -33,21 +38,38 @@ def _loaded(node: ast.AST) -> set[str]:
     }
 
 
-def dead_private_names(sources: dict[str, str], module: str) -> list[tuple[int, str]]:
-    """(line, name) of every private name ``module`` defines and no module
-    in ``sources`` loads outside that name's own definition."""
+def _imported(node: ast.AST) -> set[str]:
+    return {a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def _unused(sources: dict[str, str], module: str, public: bool) -> list[tuple[int, str]]:
+    """(line, name) of every private (or public) name ``module`` defines and
+    no top-level statement in ``sources`` uses outside its own definition;
+    an import counts as a use of a public name only."""
     tops = [(mod, node) for mod, src in sources.items() for node in ast.parse(src).body]
-    loaded = [(node, _loaded(node)) for _, node in tops]
+    loaded = [(node, _loaded(node) | (_imported(node) if public else set())) for _, node in tops]
     dead = []
     for mod, node in tops:
         if mod != module:
             continue
         for name in _defined(node):
-            if not name.startswith("_") or name.startswith("__"):
+            if name.startswith("__") or name.startswith("_") == public:
                 continue
             if not any(name in names for other, names in loaded if other is not node):
                 dead.append((node.lineno, name))
     return dead
+
+
+def dead_private_names(sources: dict[str, str], module: str) -> list[tuple[int, str]]:
+    """(line, name) of every private name ``module`` defines and no module
+    in ``sources`` loads outside that name's own definition."""
+    return _unused(sources, module, public=False)
+
+
+def unused_public_names(sources: dict[str, str], module: str) -> list[tuple[int, str]]:
+    """(line, name) of every public name ``module`` defines and no file in
+    ``sources`` loads or imports outside that name's own definition."""
+    return _unused(sources, module, public=True)
 
 
 def test_dead_private_names_are_found():
@@ -75,3 +97,31 @@ def test_dead_private_names_are_found():
 def test_no_dead_private_names(path):
     sources = {p.stem: p.read_text() for p in MODULES}
     assert dead_private_names(sources, path.stem) == []
+
+
+def test_unused_public_names_are_found():
+    sources = {
+        "pkg/a.py": (
+            "def used():\n"
+            "    return CONST\n"
+            "def unused():\n"
+            "    pass\n"
+            "def rec(n):\n"
+            "    return rec(n - 1)\n"
+            "class Attr:\n"
+            "    pass\n"
+            "CONST = 1\n"
+            "IMPORTED = 2\n"
+            "SPARE: int = 3\n"
+            "_private = 4\n"
+        ),
+        "tests/t.py": "import a\nfrom a import IMPORTED as alias\nused()\na.Attr()\n",
+    }
+    assert unused_public_names(sources, "pkg/a.py") == [(3, "unused"), (5, "rec"), (11, "SPARE")]
+    assert unused_public_names(sources, "tests/t.py") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_public_names(path):
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in READERS}
+    assert unused_public_names(sources, str(path.relative_to(ROOT))) == []
