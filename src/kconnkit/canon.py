@@ -155,7 +155,7 @@ def connected_graphs(n_max: int) -> Iterator[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# graph6 encoding (canonical ids for corpus output)
+# graph6 encoding
 
 
 def to_graph6(g: Graph) -> str:
@@ -175,7 +175,3 @@ def to_graph6(g: Graph) -> str:
             val = (val << 1) | b
         chars.append(chr(63 + val))
     return "".join(chars)
-
-
-def canonical_graph6(g: Graph) -> str:
-    return to_graph6(canonical_form(g))

@@ -8,7 +8,6 @@ share across threads.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -146,9 +145,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _check_int(x: object) -> int:
+    """``x`` if it is a plain ``int`` (not a ``bool``), else ``ValueError``."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def check_vertices(g: Graph, vs: Iterable[int]) -> frozenset[int]:
-    """``vs`` as a frozenset, or ``ValueError`` naming a vertex outside ``g``."""
-    fs = frozenset(vs)
+    """``vs`` as a frozenset, or ``ValueError`` naming an id that is not a
+    plain ``int`` or a vertex outside ``g``."""
+    fs = frozenset(map(_check_int, vs))
     for v in fs:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} outside graph")
@@ -257,7 +264,7 @@ class Separation:
 
     @staticmethod
     def from_json(obj: dict) -> "Separation":
-        return Separation(frozenset(map(_json_int, obj["a"])), frozenset(map(_json_int, obj["b"])))
+        return Separation(frozenset(map(_check_int, obj["a"])), frozenset(map(_check_int, obj["b"])))
 
 
 def is_separation(g: Graph, s: Separation) -> bool:
@@ -495,30 +502,6 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
-def _json_int(x: object) -> int:
-    """``x`` if it is a plain ``int`` (not a ``bool``), else ``ValueError``."""
-    if type(x) is not int:
-        raise ValueError(f"expected an integer in JSON, got {x!r}")
-    return x
-
-
 def graph_from_json(obj: dict) -> Graph:
-    edges = ((_json_int(u), _json_int(v)) for u, v in obj["edges"])
-    return Graph.from_edges(_json_int(obj["n"]), edges)
-
-
-def graph_to_json_str(g: Graph) -> str:
-    return json.dumps(graph_to_json(g), separators=(",", ":"), sort_keys=True)
-
-
-def graph_from_json_str(s: str) -> Graph:
-    return graph_from_json(json.loads(s))
-
-
-def graph_to_dot(g: Graph) -> str:
-    lines = ["graph G {"]
-    lines += [f"  {v};" for v in g.vertices]
-    for u, v in g.sorted_edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = ((_check_int(u), _check_int(v)) for u, v in obj["edges"])
+    return Graph.from_edges(_check_int(obj["n"]), edges)

@@ -32,7 +32,6 @@ from .graph_core import (
     _min_separator,
     check_k,
     check_vertices,
-    components,
     menger,  # noqa: F401
     menger_count,  # noqa: F401
     reachable_mask,
@@ -397,29 +396,3 @@ def _exact_u_path(g: Graph, fu: frozenset[int], m: int) -> PathWitness | None:
                 visited.add(w)
                 branches.append(iter(sorted(g.neighbors(w))))
     return None
-
-
-# ---------------------------------------------------------------------------
-# Component restrictions and deletion behaviour
-
-
-def largest_component_restriction(
-    g: Graph, a: Iterable[int], s: Iterable[int]
-) -> frozenset[int]:
-    """``a`` restricted to a component of ``g - s`` carrying most of ``a``.
-
-    Ties go to the component with the smallest vertex.  When ``a`` is
-    k-connected and ``len(s) < k`` the result has at least
-    ``ceil((len(a) // k - 1) / k)`` vertices (pigeonhole over disjoint
-    k-blocks of ``a``).
-    """
-    fa = check_vertices(g, a)
-    best: frozenset[int] = frozenset()
-    best_key = (-1, 0)
-    for comp in components(g, g.vertex_set - check_vertices(g, s)):
-        inter = comp & fa
-        key = (len(inter), -min(comp))
-        if key > best_key:
-            best_key = key
-            best = inter
-    return best

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-# menger and menger_count are unused here but kept: the benchmark's tracer
-# wraps lean.menger and lean.menger_count.
 from .graph_core import Graph, SizeGuardError, _bits, _disjoint_paths, _mask_of, _min_separator
 from .graph_core import check_k, check_vertices, reachable_mask
+# menger and menger_count are unused here but kept: the benchmark's tracer
+# wraps lean.menger and lean.menger_count.
 from .graph_core import menger, menger_count  # noqa: F401
 from .kconn import first_failed_pair
 from .sepsys import NestedSeparationSystem, TreeDecomposition, consistent_orientations, part_of

@@ -18,7 +18,7 @@ from .graph_core import (
     Graph,
     Separation,
     _bits,
-    _json_int,
+    _check_int,
     _mask_of,
     component_masks,
     components,
@@ -73,8 +73,8 @@ class NestedSeparationSystem:
 
     @staticmethod
     def from_json(obj: dict) -> "NestedSeparationSystem":
-        seps = map(Separation.from_json, obj["separations"])
-        return nss_from_separations(graph_from_json(obj["graph"]), seps)
+        seps = frozenset(map(Separation.from_json, obj["separations"]))
+        return NestedSeparationSystem(graph_from_json(obj["graph"]), seps)
 
 
 def nss_from_separations(g: Graph, seps: Iterable[Separation]) -> NestedSeparationSystem:
@@ -168,7 +168,7 @@ class TreeDecomposition:
     def from_json(obj: dict) -> "TreeDecomposition":
         return TreeDecomposition(
             graph_from_json(obj["tree"]),
-            tuple(frozenset(map(_json_int, p)) for p in obj["parts"]),
+            tuple(frozenset(map(_check_int, p)) for p in obj["parts"]),
         )
 
 

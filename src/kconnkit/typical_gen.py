@@ -7,7 +7,9 @@ becomes a short strictly ascending list of integers.  Every generator
 numbers its vertices canonically (blocks in sequence order, then shared and
 degenerate vertices, then frayed centres, then the layer product) and
 records a role per vertex; tests address vertices through roles and the
-ordered core, never through raw ids.
+ordered core, never through raw ids.  Per-vertex data are tuples indexed by
+vertex id, as are the parts of a tree-decomposition: ``roles[v]`` and, for a
+blow-up, ``parent_map[v]``.  JSON writes them as lists in id order.
 
 Attachment rule of the generalised families: when a vertex v is blown up
 into a pattern, each neighbour u of v attaches at one pattern node, read off
@@ -24,7 +26,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Mapping
 
-from .graph_core import Graph, _json_int, check_k, check_vertices, graph_from_json, graph_to_json
+from .graph_core import Graph, _check_int, check_k, check_vertices, complete_bipartite_graph
+from .graph_core import graph_from_json, graph_to_json
 from .kconn import is_k_connected
 
 # ---------------------------------------------------------------------------
@@ -63,30 +66,41 @@ class Role:
     def __post_init__(self) -> None:
         if self.kind not in _ROLE_KINDS:
             raise ValueError(f"unknown role kind {self.kind!r}")
+        for x in (self.node, self.index):
+            if x is not None:
+                _check_int(x)
 
 
 @dataclass(frozen=True, eq=False)
 class CoreMarkedGraph:
     """A graph with an ordered core, per-vertex roles, and an optional
-    parent for graphs produced by blow-ups."""
+    parent for graphs produced by blow-ups.
+
+    ``roles[v]`` is the role of vertex v.  A blow-up also carries its
+    ``parent`` and ``parent_map``, with ``parent_map[v]`` the parent vertex
+    that v comes from; the two are given together or not at all.  JSON
+    writes ``roles`` and ``parent_map`` as lists in vertex order.
+    """
 
     graph: Graph
     core: tuple[int, ...]
-    roles: Mapping[int, Role]
+    roles: tuple[Role, ...]
     parent: "CoreMarkedGraph | None" = None
-    parent_map: Mapping[int, int] | None = None
+    parent_map: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if set(self.roles) != set(self.graph.vertices):
-            raise ValueError("roles must cover every vertex exactly")
-        if not set(self.core) <= set(self.graph.vertices):
-            raise ValueError("core must consist of vertices")
-
-    def role_of(self, v: int) -> Role:
-        return self.roles[v]
+        if len(self.roles) != self.graph.n or not all(isinstance(r, Role) for r in self.roles):
+            raise ValueError("roles must be one Role per vertex")
+        check_vertices(self.graph, self.core)
+        if (self.parent is None) != (self.parent_map is None):
+            raise ValueError("parent and parent_map must be given together")
+        if self.parent is not None:
+            if len(self.parent_map) != self.graph.n:
+                raise ValueError("parent_map must cover every vertex exactly")
+            check_vertices(self.parent.graph, self.parent_map)
 
     def with_kind(self, kind: str) -> list[int]:
-        return sorted(v for v, r in self.roles.items() if r.kind == kind)
+        return [v for v, r in enumerate(self.roles) if r.kind == kind]
 
     def core_boundary(self) -> int:
         """One past the largest block/layer index appearing on the core; 0
@@ -101,48 +115,30 @@ class CoreMarkedGraph:
         out = {
             "graph": graph_to_json(self.graph),
             "core": list(self.core),
-            "roles": {str(v): asdict(r) for v, r in sorted(self.roles.items())},
+            "roles": [asdict(r) for r in self.roles],
         }
         if self.parent is not None:
             out["parent"] = self.parent.to_json()
-            out["parent_map"] = {str(v): p for v, p in sorted(self.parent_map.items())}
+            out["parent_map"] = list(self.parent_map)
         return out
 
     @staticmethod
     def from_json(obj: dict) -> "CoreMarkedGraph":
-        graph = graph_from_json(obj["graph"])
-        parent = None
-        parent_map = None
-        if "parent" in obj:
-            parent = CoreMarkedGraph.from_json(obj["parent"])
-            parent_map = {}
-            for v, p in obj["parent_map"].items():  # keys are strings, values ints
-                parent_map[_json_vertex(graph, v)] = _json_vertex(parent.graph, _json_int(p))
         return CoreMarkedGraph(
-            graph=graph,
-            core=tuple(map(_json_int, obj["core"])),
-            roles={_json_vertex(graph, v): _role_from_json(r) for v, r in obj["roles"].items()},
-            parent=parent,
-            parent_map=parent_map,
+            graph_from_json(obj["graph"]),
+            tuple(obj["core"]),
+            tuple(map(_role_from_json, obj["roles"])),
+            CoreMarkedGraph.from_json(obj["parent"]) if "parent" in obj else None,
+            tuple(obj["parent_map"]) if "parent_map" in obj else None,
         )
 
 
-def _json_vertex(g: Graph, x: object) -> int:
-    """A vertex of ``g`` read from JSON: an int, or an object key that is
-    exactly its decimal form."""
-    v = int(x) if isinstance(x, str) and x.isdecimal() and str(int(x)) == x else x
-    if _json_int(v) not in g.vertices:
-        raise ValueError(f"{x!r} is not a vertex of the graph")
-    return v
-
-
 def _role_from_json(obj: dict) -> Role:
-    """A role whose node and index are ints or null; no other field."""
+    """A role with no field besides kind, node and index."""
     unknown = set(obj) - {"kind", "node", "index"}
     if unknown:
         raise ValueError(f"unknown role fields {sorted(unknown)}")
-    node, index = (None if obj.get(f) is None else _json_int(obj[f]) for f in ("node", "index"))
-    return Role(obj["kind"], node, index)
+    return Role(obj["kind"], obj.get("node"), obj.get("index"))
 
 
 def interior_core_cutoff(cmg: CoreMarkedGraph, k: int) -> int | None:
@@ -169,19 +165,15 @@ class _Builder:
     """Accumulates labeled vertices and edges; freezes to ids by add order."""
 
     def __init__(self) -> None:
-        self.order: list[Hashable] = []
         self.index: dict[Hashable, int] = {}
         self.edges: set[tuple[int, int]] = set()
-        self.roles: dict[int, Role] = {}
+        self.roles: list[Role] = []
 
-    def add(self, label: Hashable, role: Role) -> int:
+    def add(self, label: Hashable, role: Role) -> None:
         if label in self.index:
             raise ValueError(f"duplicate label {label!r}")
-        idx = len(self.order)
-        self.order.append(label)
-        self.index[label] = idx
-        self.roles[idx] = role
-        return idx
+        self.index[label] = len(self.roles)
+        self.roles.append(role)
 
     def edge(self, a: Hashable, b: Hashable) -> None:
         u, v = self.index[a], self.index[b]
@@ -190,9 +182,9 @@ class _Builder:
         self.edges.add((min(u, v), max(u, v)))
 
     def freeze(self, core_labels: Iterable[Hashable]) -> CoreMarkedGraph:
-        g = Graph(len(self.order), frozenset(self.edges))
+        g = Graph(len(self.roles), frozenset(self.edges))
         core = tuple(self.index[l] for l in core_labels)
-        return CoreMarkedGraph(g, core, dict(self.roles))
+        return CoreMarkedGraph(g, core, tuple(self.roles))
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +282,8 @@ def gen_complete_bipartite(k: int, m: int) -> CoreMarkedGraph:
     """K(k-set, m-set) with the m-side as core, in index order."""
     if k < 0 or m < 1:
         raise ValueError("need k >= 0 and m >= 1")
-    bld = _Builder()
-    for i in range(k):
-        bld.add(("fs", i), Role("finite_side", node=i))
-    for j in range(m):
-        bld.add(("core", j), Role("core"))
-    for i in range(k):
-        for j in range(m):
-            bld.edge(("fs", i), ("core", j))
-    return bld.freeze([("core", j) for j in range(m)])
+    roles = tuple(Role("finite_side", node=i) for i in range(k)) + (Role("core"),) * m
+    return CoreMarkedGraph(complete_bipartite_graph(k, m), tuple(range(k, k + m)), roles)
 
 
 def gen_layer_product(b: Graph, d: Iterable[int], layers: int) -> CoreMarkedGraph:
@@ -494,6 +479,7 @@ class Type1Template:
     k: int
 
     def __post_init__(self) -> None:
+        check_k(self.k)
         if not self.tree.is_tree():
             raise ValueError("template tree must be a tree")
         if set(self.gamma) != set(range(self.k)):
@@ -506,8 +492,6 @@ class Type1Template:
         for node in self.tree.vertices:
             if self.tree.degree(node) in (1, 2) and node not in image:
                 raise ValueError(f"node {node} of low degree is neither c nor attached")
-        if self.tree.n > 2 * self.k + 1:
-            raise ValueError("template tree too large")
 
 
 @dataclass(frozen=True)
@@ -607,21 +591,13 @@ def _generalise(
         blowups[v] = (tree, {u: _attachment(parent.roles[v], parent.roles[u], pattern)
                              for u in parent.graph.neighbors(v)})
     graph, survivors, copies = apply_blowups(parent.graph, blowups)
-    roles: dict[int, Role] = {}
-    parent_map: dict[int, int] = {}
-    for u, idx in survivors.items():
-        roles[idx] = parent.roles[u]
-        parent_map[idx] = u
-    for v, cmap in copies.items():
-        for node, idx in cmap.items():
-            roles[idx] = Role("blown_up", node=v)
-            parent_map[idx] = v
-    core = []
-    for z in parent.core:
-        idx = copies[z][core_node] if z in copies else survivors[z]
+    # apply_blowups numbers the survivors first, then each vertex's copies
+    parent_map = (*survivors, *(v for v, cmap in copies.items() for _ in cmap))
+    roles = [parent.roles[u] if u in survivors else Role("blown_up", node=u) for u in parent_map]
+    core = tuple(copies[z][core_node] if z in copies else survivors[z] for z in parent.core)
+    for z, idx in zip(parent.core, core):
         roles[idx] = Role("core", index=parent.roles[z].index)
-        core.append(idx)
-    return CoreMarkedGraph(graph, tuple(core), roles, parent=parent, parent_map=parent_map)
+    return CoreMarkedGraph(graph, core, tuple(roles), parent, parent_map)
 
 
 def gen_generalised_complete_bipartite(
@@ -653,7 +629,7 @@ def gen_generalised_regular(
         raise ValueError("template arity does not match the blueprint order")
     t2.validate_for(bp.b, bp.d)
     parent = gen_regular_typical(bp, layers)
-    patterns = {v: t2.entries[r.node] for v, r in parent.roles.items() if r.kind != "dominating"}
+    patterns = {v: t2.entries[r.node] for v, r in enumerate(parent.roles) if r.kind != "dominating"}
     return _generalise(parent, patterns, t2.entries[bp.c].v1)
 
 
@@ -670,7 +646,7 @@ def gen_generalised_singular(
     parent = gen_singular_typical(sbp, seq, k)
     patterns = {
         v: t3.t1 if r.kind == "core" else t3.t2.entries[r.node]
-        for v, r in parent.roles.items()
+        for v, r in enumerate(parent.roles)
         if r.kind in ("core", "layer")
     }
     return _generalise(parent, patterns, t3.t1.c)

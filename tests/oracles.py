@@ -22,7 +22,7 @@ from kconnkit.graph_core import (
     menger_count,
     reachable_mask,
 )
-from kconnkit.kconn import KConnVerdict, KConnWitness
+from kconnkit.kconn import KConnVerdict, KConnWitness, PathWitness, StarWitness
 from kconnkit.lean import LeanViolation
 from kconnkit.sepsys import TreeDecomposition, is_nested_pair, nss_from_separations
 
@@ -197,6 +197,26 @@ def subtree_nodes(tree: Graph, keep: int, cut: int) -> set[int]:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def check_star_or_path(g: Graph, w: StarWitness | PathWitness, u: set, m: int) -> None:
+    """Assert that ``w`` is a star of at least m legs ending in ``u``, or a
+    path through at least m vertices of ``u``."""
+    if isinstance(w, PathWitness):
+        assert len(set(w.path)) == len(w.path)
+        assert all(g.has_edge(x, y) for x, y in zip(w.path, w.path[1:]))
+        assert sum(1 for v in w.path if v in u) >= m
+        return
+    assert len(w.legs) >= m
+    seen: set[int] = set()
+    for leg in w.legs:
+        assert leg[0] == w.centre
+        assert len(set(leg)) == len(leg) >= 2
+        assert leg[-1] in u
+        assert all(g.has_edge(x, y) for x, y in zip(leg, leg[1:]))
+        inner = set(leg[1:])
+        assert not inner & seen
+        seen |= inner
 
 
 def pair_scan_is_k_connected(g: Graph, a, k: int) -> KConnVerdict:

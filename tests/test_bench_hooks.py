@@ -1,24 +1,52 @@
-"""The library names the benchmark in ``perfbench/`` hooks into.
+"""The library names the benchmark in ``perfbench/`` hooks into, and the
+answers it pins.
 
 ``perfbench/tracing.py`` wraps module attributes by name, and
-``perfbench/worker.py`` reads the ``cache_info()`` of two caches.  A library
-edit that renames or drops one of them would otherwise surface only when
-the benchmark runs.
+``perfbench/worker.py`` reads the ``cache_info()`` of two caches.  The
+workloads call the library through ``worker.py`` and compare every answer
+with ``perfbench/expected.json``.  A library edit that renames or drops a
+name the benchmark uses, or changes a pinned answer, would otherwise surface
+only when the benchmark runs.
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from kconnkit import canon, graph_core
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    """``perfbench/<name>.py`` as the module ``perfbench_<name>``, without
+    putting ``perfbench/`` on the path (its dataclasses need the module
+    registered)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_hooks_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("tracing")
     for owner, attr, name in tracing._LAYER_TARGETS:
         assert callable(getattr(owner, attr, None)), (owner.__name__, attr, name)
     assert canon.canonical_perm.cache_info() is not None
     assert graph_core._menger_count_cached.cache_info() is not None
+
+
+@pytest.mark.parametrize("workload", ["kconn_queries", "canon_corpus", "lean_duality"])
+def test_tiny_workload_matches_the_pinned_answers(workload):
+    inputs, worker, check = _load("inputs"), _load("worker"), _load("check")
+    expected = json.loads((PERFBENCH / "expected.json").read_text())[workload]
+    run = worker.make_runner()
+    results: dict = {}
+    for call in inputs.build(workload, 3, tiny=True):
+        results[call.id] = run(call, results)
+        rec = {"id": call.id, "op": call.op, "in": worker.encode_args(call.args)}
+        rec["out"] = worker.encode_out(call.op, results[call.id])
+        assert check.check(rec, expected) == [], call.id

@@ -8,7 +8,6 @@ from kconnkit import canon
 from kconnkit.canon import (
     automorphism_count,
     canonical_form,
-    canonical_graph6,
     canonical_perm,
     connected_graphs,
     is_isomorphic,
@@ -101,7 +100,7 @@ def test_canonical_graph6_invariant():
     rng = random.Random(3)
     g = random_graph(rng, 6)
     perm = [2, 4, 0, 5, 1, 3]
-    assert canonical_graph6(g) == canonical_graph6(g.relabel(perm))
+    assert to_graph6(canonical_form(g)) == to_graph6(canonical_form(g.relabel(perm)))
 
 
 def _relabelled(rng, g: Graph) -> Graph:

@@ -1,6 +1,5 @@
 import collections
 import itertools
-import math
 import random
 import sys
 
@@ -21,13 +20,14 @@ from kconnkit.kconn import (
     PathWitness,
     StarWitness,
     is_k_connected,
-    largest_component_restriction,
     max_k_connected_subset,
     star_or_path,
 )
 from oracles import (
     brute_is_separator,
     brute_max_disjoint_paths,
+    check_star_or_path,
+    outcome,
     pair_scan_is_k_connected,
     random_connected_graph,
 )
@@ -88,11 +88,16 @@ def test_vertices_outside_the_graph_are_rejected():
 def test_other_entry_points_reject_vertices_outside_the_graph():
     g = path_graph(3)
     with pytest.raises(ValueError, match="vertex 5 outside"):
-        largest_component_restriction(g, {0, 5}, {7})
-    with pytest.raises(ValueError, match="vertex 7 outside"):
-        largest_component_restriction(g, {0, 1}, {7})
-    with pytest.raises(ValueError, match="vertex 5 outside"):
         star_or_path(g, {5}, 1)
+
+
+@pytest.mark.parametrize("ids, bad", [([0, 1.0, 2], 1.0), ([True, 2, 3], True), ([1, True, 2], True)])
+def test_non_integer_vertex_ids_are_rejected(ids, bad):
+    # 1.0 and True pass a range check and equal the vertex 1, so a set of
+    # the ids would drop a True that follows a 1
+    g = cycle_graph(5)
+    assert outcome(lambda: is_k_connected(g, ids, 2)) == f"expected an integer, got {bad!r}"
+    assert outcome(lambda: max_k_connected_subset(g, ids, 2)) == f"expected an integer, got {bad!r}"
 
 
 def test_failing_pair_flow_runs_once(monkeypatch):
@@ -368,7 +373,7 @@ def test_star_or_path_on_star_host():
     res = star_or_path(g, set(range(1, 7)), 5)
     assert isinstance(res, StarWitness)
     assert res.centre == 0
-    _check_star(g, res, set(range(1, 7)), 5)
+    check_star_or_path(g, res, set(range(1, 7)), 5)
 
 
 def test_star_or_path_on_path_host():
@@ -376,7 +381,7 @@ def test_star_or_path_on_path_host():
     res = star_or_path(g, set(range(10)), 8)
     assert isinstance(res, PathWitness)
     assert sum(1 for v in res.path if v < 10) >= 8
-    _check_path(g, res, set(range(10)), 8)
+    check_star_or_path(g, res, set(range(10)), 8)
 
 
 def test_star_or_path_on_random_trees():
@@ -388,10 +393,7 @@ def test_star_or_path_on_random_trees():
         leaves = {v for v in g.vertices if g.degree(v) == 1}
         res = star_or_path(g, leaves, 4)
         assert res is not None
-        if isinstance(res, StarWitness):
-            _check_star(g, res, leaves, 4)
-        else:
-            _check_path(g, res, leaves, 4)
+        check_star_or_path(g, res, leaves, 4)
 
 
 def test_star_or_path_rejects_split_u():
@@ -490,83 +492,7 @@ def test_star_or_path_matches_brute_force():
             for m in range(1, 5):
                 res = star_or_path(g, u, m)
                 assert (res is None) != _brute_star_or_path_exists(g, u, m), (g, u, m, res)
-                if isinstance(res, StarWitness):
-                    _check_star(g, res, u, m)
-                elif res is not None:
-                    _check_path(g, res, u, m)
+                if res is not None:
+                    check_star_or_path(g, res, u, m)
                 kinds[type(res).__name__] += 1
     assert min(kinds.values()) > 200, kinds
-
-
-def _check_star(g: Graph, w: StarWitness, u: set, m: int) -> None:
-    assert len(w.legs) >= m
-    seen: set[int] = set()
-    for leg in w.legs:
-        assert leg[0] == w.centre
-        assert len(set(leg)) == len(leg) >= 2
-        assert leg[-1] in u
-        assert all(g.has_edge(x, y) for x, y in zip(leg, leg[1:]))
-        inner = set(leg[1:])
-        assert not inner & seen
-        seen |= inner
-
-
-def _check_path(g: Graph, w: PathWitness, u: set, m: int) -> None:
-    assert len(set(w.path)) == len(w.path)
-    assert all(g.has_edge(x, y) for x, y in zip(w.path, w.path[1:]))
-    assert sum(1 for v in w.path if v in u) >= m
-
-
-def test_largest_component_restriction_whole_set():
-    g = path_graph(4)
-    assert largest_component_restriction(g, {0, 2, 3}, set()) == frozenset({0, 2, 3})
-
-
-def test_largest_component_restriction_bipartite():
-    # dropping 2 of the 3 centres keeps all 9 core vertices joined
-    g = complete_bipartite_graph(3, 9)
-    core = set(range(3, 12))
-    assert largest_component_restriction(g, core, {0, 1}) == frozenset(core)
-
-
-def test_largest_component_restriction_star_centre():
-    g = complete_bipartite_graph(1, 5)
-    res = largest_component_restriction(g, set(range(1, 6)), {0})
-    assert len(res) == 1
-    assert res == frozenset({1})
-
-
-def test_largest_component_restriction_pigeonhole_bound():
-    rng = random.Random(2024)
-    hits = 0
-    while hits < 40:
-        g = random_connected_graph(rng, 7)
-        k = rng.choice((2, 3))
-        a = g.vertex_set
-        if not is_k_connected(g, a, k).ok:
-            continue
-        hits += 1
-        s = frozenset(rng.sample(range(g.n), k - 1))
-        got = largest_component_restriction(g, a, s)
-        bound = math.ceil((len(a) // k - 1) / k)
-        assert len(got) >= bound
-
-
-def test_largest_component_restriction_bound_exhaustive():
-    # the docstring's bound for every k <= 3, every k-connected A among V and
-    # two seeded sets of at least k vertices, and every S with |S| < k
-    rng = random.Random(7303)
-    checks = 0
-    for g in connected_graphs(6):
-        for k in range(1, min(3, g.n) + 1):
-            sets = [g.vertex_set]
-            sets += [frozenset(rng.sample(range(g.n), rng.randint(k, g.n))) for _ in range(2)]
-            for a in sets:
-                if not is_k_connected(g, a, k).ok:
-                    continue
-                bound = math.ceil((len(a) // k - 1) / k)
-                for size in range(k):
-                    for s in itertools.combinations(range(g.n), size):
-                        assert len(largest_component_restriction(g, a, s)) >= bound, (g, a, s)
-                        checks += 1
-    assert checks == 5013

@@ -405,6 +405,14 @@ P3_SEP = Separation.of({0, 1}, {1, 2})
             id="not-symmetric",
         ),
         pytest.param(
+            # a list holding one orientation of a pair is not closed up
+            lambda: NestedSeparationSystem.from_json(
+                {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "separations": [P3_SEP.to_json()]}
+            ),
+            f"system is not symmetric at {P3_SEP}",
+            id="json-not-symmetric",
+        ),
+        pytest.param(
             # (1, 012) <= (01, 12) is in the system but not chosen
             lambda: is_consistent(
                 nss_from_separations(path_graph(3), [P3_SEP, Separation.of({1}, {0, 1, 2})]),

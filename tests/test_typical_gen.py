@@ -74,7 +74,7 @@ def nonsimple_type2(b: Graph, d: frozenset[int]) -> Type2Template:
 
 def copies_of(gen: CoreMarkedGraph, v: int) -> list[int]:
     """The vertices that parent vertex ``v`` became, by pattern node."""
-    return sorted(i for i, p in gen.parent_map.items() if p == v)
+    return [i for i, p in enumerate(gen.parent_map) if p == v]
 
 
 def attachments(gen: CoreMarkedGraph, v: int, w: int) -> set[tuple[int, int]]:
@@ -130,7 +130,7 @@ def test_layer_product_contracts_a_smaller_endpoint():
     # the edge (0, 1) of the blueprint has its smaller endpoint in d
     cmg = gen_layer_product(path_graph(3), {0}, 3)
     (dom,) = cmg.with_kind("dominating")
-    copies = [v for v, r in cmg.roles.items() if r.kind == "layer" and r.node == 1]
+    copies = [v for v, r in enumerate(cmg.roles) if r.kind == "layer" and r.node == 1]
     assert len(copies) == 3
     assert cmg.graph.neighbors(dom) == frozenset(copies)
 
@@ -159,7 +159,7 @@ def test_interior_core_cutoff_rejects_negative_k():
 def test_regular_typical_core():
     cmg = gen_regular_typical(FIG2_BP, 5)
     assert len(cmg.core) == 5
-    roles = [cmg.role_of(v) for v in cmg.core]
+    roles = [cmg.roles[v] for v in cmg.core]
     assert all(r.kind == "core" and r.node == 0 for r in roles)
     assert [r.index for r in roles] == list(range(5))
 
@@ -224,16 +224,16 @@ def test_singular_typical_identification_layer():
     g = cmg.graph
     z0 = cmg.core[0]
     glue_layers = sorted(
-        cmg.role_of(u).index
+        cmg.roles[u].index
         for u in g.neighbors(z0)
-        if cmg.role_of(u).kind == "layer"
+        if cmg.roles[u].kind == "layer"
     )
     b_order = FIG4_SBP.b.n
     assert glue_layers == [b_order, b_order, b_order + 1, b_order + 1]
     nodes = sorted(
-        (cmg.role_of(u).node, cmg.role_of(u).index - b_order)
+        (cmg.roles[u].node, cmg.roles[u].index - b_order)
         for u in g.neighbors(z0)
-        if cmg.role_of(u).kind == "layer"
+        if cmg.roles[u].kind == "layer"
     )
     assert nodes == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -442,7 +442,7 @@ def test_generalised_regular_attachments_on_a_nonsimple_template():
     t2 = nonsimple_type2(FIG2_BP.b, FIG2_BP.d)
     gen = gen_generalised_regular(FIG2_BP, 3, t2)
     parent = gen.parent
-    product = {(r.node, r.index): v for v, r in parent.roles.items() if r.kind != "dominating"}
+    product = {(r.node, r.index): v for v, r in enumerate(parent.roles) if r.kind != "dominating"}
     (dom,) = parent.with_kind("dominating")
     for (x, n), v in product.items():
         if (x, n + 1) in product:
@@ -471,7 +471,7 @@ def test_generalised_singular_attachments_on_a_nonsimple_template():
             else:
                 assert attachments(gen, z, w) == {(t1.gamma[role.node], 0)}
     assert sorted(parities) == [0] * 10 + [1] * 10
-    layer = {(r.node, r.index): v for v, r in parent.roles.items() if r.kind == "layer"}
+    layer = {(r.node, r.index): v for v, r in enumerate(parent.roles) if r.kind == "layer"}
     for (x, n), v in layer.items():
         if (x, n + 1) in layer:
             assert attachments(gen, v, layer[x, n + 1]) == {(2, 1)}
@@ -524,18 +524,38 @@ roles_strategy = st.builds(
 )
 
 
+blown_up_strategy = st.one_of(
+    st.builds(
+        lambda k, m: gen_generalised_complete_bipartite(k, m, edge_template(k)),
+        st.integers(1, 4),
+        st.integers(1, 5),
+    ),
+    st.builds(
+        lambda layers: gen_generalised_regular(FIG2_BP, layers, nonsimple_type2(FIG2_BP.b, FIG2_BP.d)),
+        st.integers(1, 3),
+    ),
+)
+
+
 def _through_json(obj: dict) -> dict:
     return json.loads(json.dumps(obj))
 
 
+def _fields(cmg: CoreMarkedGraph | None) -> tuple | None:
+    """Every field of ``cmg`` and of its parents, for an exact comparison."""
+    if cmg is None:
+        return None
+    return (cmg.graph, cmg.core, cmg.roles, _fields(cmg.parent), cmg.parent_map)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(roles_strategy, min_size=1, max_size=12), st.integers(0, 10_000))
-@example(CODEC_CASES, 0)
-@example(ALL_ROLES, 1)
-def test_json_round_trips_are_exact(roles, seed):
-    cmg = CoreMarkedGraph(Graph.from_edges(len(roles)), (0,), dict(enumerate(roles)))
-    back = CoreMarkedGraph.from_json(_through_json(cmg.to_json()))
-    assert (back.graph, back.core, back.roles) == (cmg.graph, cmg.core, cmg.roles)
+@given(st.lists(roles_strategy, min_size=1, max_size=12), st.integers(0, 10_000), blown_up_strategy)
+@example(CODEC_CASES, 0, gen_generalised_complete_bipartite(1, 1, edge_template(1)))
+@example(ALL_ROLES, 1, gen_generalised_complete_bipartite(1, 1, edge_template(1)))
+def test_json_round_trips_are_exact(roles, seed, blown_up):
+    for cmg in (CoreMarkedGraph(Graph.from_edges(len(roles)), (0,), tuple(roles)), blown_up):
+        back = CoreMarkedGraph.from_json(_through_json(cmg.to_json()))
+        assert _fields(back) == _fields(cmg)
 
     rng = random.Random(seed)
     g = random_connected_graph(rng, rng.randint(1, 7))
@@ -552,31 +572,28 @@ def test_cmg_json_round_trip_with_parent():
     back = CoreMarkedGraph.from_json(gen.to_json())
     assert back.graph == gen.graph
     assert back.core == gen.core
-    assert back.roles == dict(gen.roles)
+    assert back.roles == gen.roles
     assert back.parent.graph == gen.parent.graph
-    assert dict(back.parent_map) == dict(gen.parent_map)
+    assert back.parent_map == gen.parent_map
 
 
-def _rekey(mapping: dict, old: str, new: str) -> None:
-    mapping[new] = mapping.pop(old)
+def _set(items: list, i: int, value: object) -> None:
+    items[i] = value
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda o: o.update(core=[1.0, True]), "expected an integer in JSON, got 1.0"),
-        (lambda o: o.update(core=[True]), "expected an integer in JSON, got True"),
-        (lambda o: o["roles"].update({"01": {"kind": "matched"}}), "got '01'"),
-        (lambda o: _rekey(o["roles"], "1", " 1"), "got ' 1'"),
-        (lambda o: _rekey(o["roles"], "1", "one"), "got 'one'"),
-        (lambda o: o["roles"].update({"4": {"kind": "core"}}), "'4' is not a vertex"),
-        (lambda o: o["roles"]["1"].update(node=1.5), "expected an integer in JSON, got 1.5"),
-        (lambda o: o["roles"]["1"].update(index=True), "expected an integer in JSON, got True"),
-        (lambda o: o["roles"]["1"].update(colour=3), r"unknown role fields \['colour'\]"),
-        (lambda o: o["parent_map"].update({"1": 7.5}), "expected an integer in JSON, got 7.5"),
-        (lambda o: o["parent_map"].update({"1": 3}), "3 is not a vertex"),
-        (lambda o: o["parent_map"].update({"1": "0"}), "expected an integer in JSON, got '0'"),
-        (lambda o: _rekey(o["parent_map"], "3", "03"), "got '03'"),
+        (lambda o: o.update(core=[1.0, True]), "expected an integer, got 1.0"),
+        (lambda o: o.update(core=[True]), "expected an integer, got True"),
+        (lambda o: o["roles"][1].update(node=1.5), "expected an integer, got 1.5"),
+        (lambda o: o["roles"][1].update(index=True), "expected an integer, got True"),
+        (lambda o: o["roles"][1].update(colour=3), r"unknown role fields \['colour'\]"),
+        (lambda o: o["roles"].pop(), "roles must be one Role per vertex"),
+        (lambda o: _set(o["parent_map"], 1, 7.5), "expected an integer, got 7.5"),
+        (lambda o: _set(o["parent_map"], 1, 3), "vertex 3 outside graph"),
+        (lambda o: _set(o["parent_map"], 1, "0"), "expected an integer, got '0'"),
+        (lambda o: o.pop("parent_map"), "parent and parent_map must be given together"),
     ],
 )
 def test_cmg_from_json_accepts_only_vertex_ids(mutate, message):
@@ -592,6 +609,8 @@ EDGE = Graph.from_edges(2, [(0, 1)])
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 SIMPLE2 = simple_type2(FIG2_BP)
 NONSIMPLE2 = nonsimple_type2(FIG4_SBP.b, FIG4_SBP.d)
+ROLES2 = (Role("core"),) * 2
+PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
 
 
 @pytest.mark.parametrize(
@@ -599,14 +618,41 @@ NONSIMPLE2 = nonsimple_type2(FIG4_SBP.b, FIG4_SBP.d)
     [
         pytest.param(lambda: Role("vertex"), "unknown role kind 'vertex'", id="role-kind"),
         pytest.param(
-            lambda: CoreMarkedGraph(EDGE, (), {0: Role("core")}),
-            "roles must cover every vertex exactly",
+            lambda: CoreMarkedGraph(EDGE, (), (Role("core"),)),
+            "roles must be one Role per vertex",
             id="cmg-roles",
         ),
         pytest.param(
-            lambda: CoreMarkedGraph(EDGE, (2,), {0: Role("core"), 1: Role("core")}),
-            "core must consist of vertices",
-            id="cmg-core",
+            # the dict shape: it has one entry per vertex, but iterates over ids
+            lambda: CoreMarkedGraph(EDGE, (), dict(enumerate(ROLES2))),
+            "roles must be one Role per vertex",
+            id="cmg-roles-dict",
+        ),
+        pytest.param(lambda: CoreMarkedGraph(EDGE, (2,), ROLES2), "vertex 2 outside graph", id="cmg-core"),
+        pytest.param(
+            lambda: CoreMarkedGraph(EDGE, (1.0,), ROLES2), "expected an integer, got 1.0", id="cmg-core-float"
+        ),
+        pytest.param(lambda: Role("core", index=1.5), "expected an integer, got 1.5", id="role-index-float"),
+        pytest.param(lambda: Role("core", node=True), "expected an integer, got True", id="role-node-bool"),
+        pytest.param(
+            lambda: CoreMarkedGraph(EDGE, (), ROLES2, parent=PLAIN),
+            "parent and parent_map must be given together",
+            id="cmg-parent-without-map",
+        ),
+        pytest.param(
+            lambda: CoreMarkedGraph(EDGE, (), ROLES2, parent_map=(0, 1)),
+            "parent and parent_map must be given together",
+            id="cmg-map-without-parent",
+        ),
+        pytest.param(
+            lambda: CoreMarkedGraph(EDGE, (), ROLES2, PLAIN, (0,)),
+            "parent_map must cover every vertex exactly",
+            id="cmg-parent-map-short",
+        ),
+        pytest.param(
+            lambda: CoreMarkedGraph(EDGE, (), ROLES2, PLAIN, (0, 2)),
+            "vertex 2 outside graph",
+            id="cmg-parent-map-range",
         ),
         pytest.param(
             lambda: RegularBlueprint(cycle_graph(3), frozenset(), 0),
@@ -711,10 +757,8 @@ NONSIMPLE2 = nonsimple_type2(FIG4_SBP.b, FIG4_SBP.d)
             "node 1 of low degree is neither c nor attached",
             id="type1-low-degree",
         ),
-        # a tree that passes the degree check has at most 2k nodes, so only a
-        # negative k reaches the size check
         pytest.param(
-            lambda: Type1Template(Graph.from_edges(1), {}, 0, -1), "template tree too large", id="type1-size"
+            lambda: Type1Template(Graph.from_edges(1), {}, 0, -1), "k must be non-negative, got -1", id="type1-size"
         ),
         pytest.param(
             lambda: PathBlowup(STAR, 1, 1, 2, 2, {}), "blow-up pattern must be a path", id="path-blowup-star"
