@@ -26,6 +26,7 @@ from typing import Iterable, Iterator
 # wraps kconn.menger and kconn.menger_count.
 from .graph_core import (
     Graph,
+    SizeGuardError,
     _bits,
     _disjoint_paths,
     _mask_of,
@@ -225,6 +226,10 @@ class MaxKConnResult:
     vertices: frozenset[int] | None
 
 
+# The most candidate sets max_k_connected_subset examines, pruned or decided.
+_MAX_CANDIDATES = 20_000
+
+
 def max_k_connected_subset(g: Graph, a: Iterable[int], k: int) -> MaxKConnResult:
     """A maximum-size k-connected subset of ``a``.
 
@@ -235,21 +240,28 @@ def max_k_connected_subset(g: Graph, a: Iterable[int], k: int) -> MaxKConnResult
     lexicographically least is returned.  If no subset of size >= k is
     k-connected the sentinel size ``k - 1`` is reported with no vertex set.
     Requires ``k >= 0``; for k = 0 the kernel finds no pair, so ``a`` itself
-    is returned.
+    is returned.  The search is exponential in ``len(a)``: examining more than
+    ``_MAX_CANDIDATES`` candidate sets, pruned or decided, raises
+    :class:`SizeGuardError`.
     """
     fa = check_vertices(g, a)
     check_k(k)
     ordered = sorted(fa)
     bad_pairs: list[frozenset[int]] = []
-    for size in range(len(fa), k - 1, -1):
-        for cand in itertools.combinations(ordered, size):
-            cset = frozenset(cand)
-            if any(bad <= cset for bad in bad_pairs):
-                continue
-            failed = first_failed_pair(g, cset, cset, k)
-            if failed is None:
-                return MaxKConnResult(size, cset)
-            bad_pairs.append(failed[0] | failed[1])
+    sizes = range(len(fa), k - 1, -1)
+    candidates = itertools.chain.from_iterable(itertools.combinations(ordered, n) for n in sizes)
+    for examined, cand in enumerate(candidates, 1):
+        if examined > _MAX_CANDIDATES:
+            raise SizeGuardError(
+                f"max_k_connected_subset examined more than _MAX_CANDIDATES = {_MAX_CANDIDATES} sets"
+            )
+        cset = frozenset(cand)
+        if any(bad <= cset for bad in bad_pairs):
+            continue
+        failed = first_failed_pair(g, cset, cset, k)
+        if failed is None:
+            return MaxKConnResult(len(cset), cset)
+        bad_pairs.append(failed[0] | failed[1])
     return MaxKConnResult(k - 1, None)
 
 
@@ -286,7 +298,10 @@ def star_or_path(
        whole graph;
     4. exact path: a search over simple paths, started only at vertices of
        ``u``.  That suffices: a path through m vertices of ``u`` contains the
-       subpath from its first u-vertex to its last, with the same count.
+       subpath from its first u-vertex to its last, with the same count.  It
+       is exponential (m = ``len(u)`` = n asks for a Hamiltonian path), so
+       more than ``_MAX_PATH_STEPS`` path extensions raise
+       :class:`SizeGuardError`.
 
     The tree stages take O(m) passes over the graph and usually decide; the
     exact stages settle existence, so ``None`` really means neither
@@ -373,12 +388,18 @@ def _tree_best_u_path(
     return best_path
 
 
+# The most path extensions one exact path stage of star_or_path makes.
+_MAX_PATH_STEPS = 200_000
+
+
 def _exact_u_path(g: Graph, fu: frozenset[int], m: int) -> PathWitness | None:
     """The first path through ``m`` vertices of ``fu`` found by a DFS over
     simple paths on an explicit stack, neighbours ascending, from each vertex
-    of ``fu`` in turn; a path visits at most ``len(fu)`` of them."""
+    of ``fu`` in turn; a path visits at most ``len(fu)`` of them.  Raises
+    :class:`SizeGuardError` past ``_MAX_PATH_STEPS`` extensions in all."""
     if len(fu) < m:
         return None
+    steps = 0
     for s in sorted(fu):
         path, counts, visited = [s], [1], {s}
         branches = [iter(sorted(g.neighbors(s)))]
@@ -391,6 +412,11 @@ def _exact_u_path(g: Graph, fu: frozenset[int], m: int) -> PathWitness | None:
                 counts.pop()
                 visited.discard(path.pop())
             else:
+                steps += 1
+                if steps > _MAX_PATH_STEPS:
+                    raise SizeGuardError(
+                        f"star_or_path made more than _MAX_PATH_STEPS = {_MAX_PATH_STEPS} path steps"
+                    )
                 path.append(w)
                 counts.append(counts[-1] + (w in fu))
                 visited.add(w)

@@ -10,11 +10,13 @@ and more than s of P2 in D.  :func:`kconnkit.kconn.first_failed_pair` tests
 this by a separator scan without flows and returns the first failed demand.
 
 The builder starts from the trivial decomposition and resolves violations
-by splitting along a minimum separator: the tree is doubled into an A-copy
-and a B-copy whose parts are trimmed to the respective side and padded with
-separator vertices along witness path systems.  That split never increases
-any part or adhesion set, and the two copies join at the nodes holding the
-violating sets.
+by splitting along one :func:`~kconnkit.graph_core.menger` system of the
+violating sets: a minimum separator X and as many disjoint paths, each
+meeting X once (Bellenbaum & Diestel, CPC 11, 2002).  The tree is doubled
+into an A-copy and a B-copy whose parts are trimmed to the respective side
+and padded with the vertex of X on each path whose other-side half meets
+them.  That split never increases any part or adhesion set, and the two
+copies join at the nodes holding the violating sets.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph_core import Graph, SizeGuardError, _bits, _disjoint_paths, _mask_of, _min_separator
-from .graph_core import check_k, check_vertices, reachable_mask
-# menger and menger_count are unused here but kept: the benchmark's tracer
-# wraps lean.menger and lean.menger_count.
-from .graph_core import menger, menger_count  # noqa: F401
+from .graph_core import Graph, SizeGuardError, _bits, _mask_of, check_k, check_vertices, menger
+from .graph_core import reachable_mask
+# menger_count is unused here but kept: the benchmark's tracer wraps lean.menger_count.
+from .graph_core import menger_count  # noqa: F401
 from .kconn import first_failed_pair
 from .sepsys import NestedSeparationSystem, TreeDecomposition, consistent_orientations, part_of
 from .sepsys import tree_edge_sides
@@ -145,28 +146,23 @@ def build_k_lean_td(g: Graph, k: int) -> TreeDecomposition:
 def _split_on_violation(
     g: Graph, td: TreeDecomposition, v: LeanViolation
 ) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
-    x = _min_separator(g, v.z1, v.z2)
+    m = menger(g, v.z1, v.z2)
+    x = m.separator
     # orient the separation so that z1 lies in the a-side
     x_mask = _mask_of(x)
     rest = ((1 << g.n) - 1) & ~x_mask
     a_mask = reachable_mask(g.adjacency_masks, _mask_of(v.z1) & rest, rest) | x_mask
-    b_mask = (rest & ~a_mask) | x_mask
     a = frozenset(_bits(a_mask))
-    b = frozenset(_bits(b_mask))
+    b = frozenset(_bits((rest & ~a_mask) | x_mask))
 
-    # witness paths z1 -> x inside the a-side and x -> z2 inside the b-side;
-    # each copy is padded along the other side's paths, keyed by their end in x
-    p_paths = _disjoint_paths(g, v.z1, x, within=a_mask).paths
-    q_paths = _disjoint_paths(g, x, v.z2, within=b_mask).paths
-
+    # each of the len(x) disjoint z1-z2 paths meets x once, at xx: its half up
+    # to xx lies in the a-side, its half from xx in the b-side; each copy is
+    # padded along the other side's halves, keyed by xx
+    halves = [(xx, frozenset(p[: p.index(xx) + 1]), frozenset(p[p.index(xx) :]))
+              for p in m.paths.paths for xx in x.intersection(p)]
     n_old = td.tree.n
-    new_parts: list[frozenset[int]] = []
-    for side, paths in ((a, q_paths), (b, p_paths)):  # A-copy, then B-copy
-        ends = {xx: frozenset(p) for p in paths for xx in x.intersection(p)}
-        if ends.keys() != x:
-            raise AssertionError("witness path systems must hit every separator vertex")
-        for part in td.parts:
-            new_parts.append((part & side) | {xx for xx, pv in ends.items() if pv & part})
+    new_parts = [(part & a) | {xx for xx, _, q in halves if q & part} for part in td.parts]
+    new_parts += [(part & b) | {xx for xx, p, _ in halves if p & part} for part in td.parts]
     new_edges = [(u, w) for u, w in td.tree.sorted_edges()]
     new_edges += [(u + n_old, w + n_old) for u, w in td.tree.sorted_edges()]
     new_edges.append((v.t2, v.t1 + n_old))

@@ -10,6 +10,7 @@ consistent orientation becomes a tree node.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -21,7 +22,6 @@ from .graph_core import (
     _check_int,
     _mask_of,
     component_masks,
-    components,
     graph_from_json,
     graph_to_json,
     is_separation,
@@ -173,21 +173,21 @@ class TreeDecomposition:
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> bool:
-    """Check the three tree-decomposition axioms plus tree-ness."""
+    """Check the three tree-decomposition axioms plus tree-ness.
+
+    Cover and (T3) are one occurrence count: in a tree, the nodes whose parts
+    hold v form a subtree iff they outnumber, by exactly one, the tree edges
+    whose two parts both hold v.  A vertex in no part counts 0, and an id
+    outside ``g`` fails too.
+    """
     if not td.tree.is_tree():
         return False
-    union = frozenset().union(*td.parts) if td.parts else frozenset()
-    if union != g.vertex_set:
+    count = Counter(v for part in td.parts for v in part)
+    for u, w in td.tree.edges:
+        count.subtract(td.parts[u] & td.parts[w])
+    if count.keys() != g.vertex_set or any(c != 1 for c in count.values()):
         return False
-    for u, v in g.edges:
-        if not any(u in p and v in p for p in td.parts):
-            return False
-    # per-vertex connectivity of {t : v in part(t)} is equivalent to (T3)
-    for v in g.vertices:
-        nodes = [t for t in td.tree.vertices if v in td.parts[t]]
-        if len(components(td.tree, nodes)) != 1:
-            return False
-    return True
+    return all(any(u in p and v in p for p in td.parts) for u, v in g.edges)
 
 
 def adhesion(x: NestedSeparationSystem | TreeDecomposition) -> int:

@@ -78,8 +78,10 @@ class CoreMarkedGraph:
 
     ``roles[v]`` is the role of vertex v.  A blow-up also carries its
     ``parent`` and ``parent_map``, with ``parent_map[v]`` the parent vertex
-    that v comes from; the two are given together or not at all.  JSON
-    writes ``roles`` and ``parent_map`` as lists in vertex order.
+    that v comes from; the two are given together or not at all.  ``core``,
+    ``roles`` and ``parent_map`` are stored as tuples whatever sequence is
+    given, so a JSON round trip gives equal fields.  JSON writes ``roles`` and
+    ``parent_map`` as lists in vertex order.
     """
 
     graph: Graph
@@ -89,6 +91,9 @@ class CoreMarkedGraph:
     parent_map: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("core", "roles", "parent_map"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.roles) != self.graph.n or not all(isinstance(r, Role) for r in self.roles):
             raise ValueError("roles must be one Role per vertex")
         check_vertices(self.graph, self.core)
@@ -126,10 +131,10 @@ class CoreMarkedGraph:
     def from_json(obj: dict) -> "CoreMarkedGraph":
         return CoreMarkedGraph(
             graph_from_json(obj["graph"]),
-            tuple(obj["core"]),
-            tuple(map(_role_from_json, obj["roles"])),
+            obj["core"],
+            map(_role_from_json, obj["roles"]),
             CoreMarkedGraph.from_json(obj["parent"]) if "parent" in obj else None,
-            tuple(obj["parent_map"]) if "parent_map" in obj else None,
+            obj.get("parent_map"),
         )
 
 
@@ -177,8 +182,6 @@ class _Builder:
 
     def edge(self, a: Hashable, b: Hashable) -> None:
         u, v = self.index[a], self.index[b]
-        if u == v:
-            raise ValueError(f"loop on {a!r}")
         self.edges.add((min(u, v), max(u, v)))
 
     def freeze(self, core_labels: Iterable[Hashable]) -> CoreMarkedGraph:
@@ -399,22 +402,13 @@ def two_bipartite_matched(m: int) -> CoreMarkedGraph:
     matching between the m-sides; the first copy's m-side is the core."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    bld = _Builder()
-    for i in range(2):
-        bld.add(("fs", 0, i), Role("finite_side", node=i, index=0))
-    for j in range(m):
-        bld.add(("core", j), Role("core"))
-    for i in range(2):
-        bld.add(("fs", 1, i), Role("finite_side", node=i, index=1))
-    for j in range(m):
-        bld.add(("m2", j), Role("matched", node=j))
-    for i in range(2):
-        for j in range(m):
-            bld.edge(("fs", 0, i), ("core", j))
-            bld.edge(("fs", 1, i), ("m2", j))
-    for j in range(m):
-        bld.edge(("core", j), ("m2", j))
-    return bld.freeze([("core", j) for j in range(m)])
+    kb = complete_bipartite_graph(2, m).edges
+    shifted = [(u + m + 2, w + m + 2) for u, w in kb]
+    g = Graph.from_edges(2 * m + 4, [*kb, *shifted, *((2 + j, m + 4 + j) for j in range(m))])
+    roles = [Role("finite_side", node=i, index=0) for i in range(2)] + [Role("core")] * m
+    roles += [Role("finite_side", node=i, index=1) for i in range(2)]
+    roles += [Role("matched", node=j) for j in range(m)]
+    return CoreMarkedGraph(g, range(2, m + 2), roles)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ def test_enumeration_counts_small():
     for g in connected_graphs(5):
         counts[g.n] = counts.get(g.n, 0) + 1
     assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+    assert list(connected_graphs(0)) == []
 
 
 def test_enumeration_cross_checked_by_labeled_counting():

@@ -10,6 +10,7 @@ from kconnkit import graph_core, kconn
 from kconnkit.canon import connected_graphs
 from kconnkit.graph_core import (
     Graph,
+    SizeGuardError,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -196,6 +197,7 @@ def test_path_is_not_2_connected_with_deterministic_witness():
     g = path_graph(4)
     verdict = is_k_connected(g, {0, 1, 2, 3}, 2)
     assert not verdict.ok
+    assert bool(verdict) is verdict.ok
     w = verdict.witness
     # first failure in (ascending l, lexicographic pair) order
     assert (w.z1, w.z2) == (frozenset({0, 1}), frozenset({1, 2}))
@@ -308,6 +310,13 @@ def test_max_k_connected_subset_returns_lex_least_maximum():
         if is_k_connected(g, c, 2).ok
     ]
     assert res.vertices == min(alt, key=lambda s: sorted(s))
+
+
+def test_max_k_connected_subset_has_a_candidate_budget():
+    # no 4-set of a cycle is 3-connected, so every larger set comes up before
+    # the answer, a 3-set: C20 has over a million of them
+    with pytest.raises(SizeGuardError, match="_MAX_CANDIDATES = 20000"):
+        max_k_connected_subset(cycle_graph(20), range(20), 3)
 
 
 def test_max_k_connected_subset_runs_no_flow(monkeypatch):
@@ -462,6 +471,24 @@ def test_star_or_path_exact_search_is_linear_on_a_spider(monkeypatch):
     monkeypatch.setattr(Graph, "neighbors", counting_neighbors)
     assert star_or_path(g, u, 4) is None
     assert calls <= 10 * g.n
+
+
+def test_star_or_path_exact_path_stage_has_a_step_budget():
+    """A spider of three 2x12 ladders hung from vertex 0 by one corner each,
+    u = the centre and the far corner on the other rail of each ladder: no
+    vertex has 4 neighbours and no path passes 4 vertices of u, and the exact
+    path stage would walk the ladders' exponentially many simple paths."""
+    rows = 12
+    edges, u = [], {0}
+    for i in range(3):
+        rail = (1 + 2 * rows * i, 1 + 2 * rows * i + rows)  # first vertex of each rail
+        edges.append((0, rail[0]))
+        edges += [(r + j, r + j + 1) for r in rail for j in range(rows - 1)]
+        edges += [(rail[0] + j, rail[1] + j) for j in range(rows)]
+        u.add(rail[1] + rows - 1)
+    g = Graph.from_edges(1 + 6 * rows, edges)
+    with pytest.raises(SizeGuardError, match="_MAX_PATH_STEPS = 200000"):
+        star_or_path(g, u, 4)
 
 
 def _brute_star_or_path_exists(g: Graph, u: frozenset[int], m: int) -> bool:

@@ -134,8 +134,8 @@ def test_build_gives_up_after_max_rounds(monkeypatch):
 
 
 def test_split_runs_one_separator_flow_and_copies_nothing(monkeypatch):
-    """Each split runs one weighted flow (its separator) and one unweighted
-    flow per side, confined by a vertex mask instead of a subgraph copy."""
+    """Each split runs one menger call: one weighted flow (its separator) and
+    one unweighted flow (its path system), with no subgraph copy."""
     flows = collections.Counter()
     splits = []
     copies = []
@@ -163,7 +163,7 @@ def test_split_runs_one_separator_flow_and_copies_nothing(monkeypatch):
     monkeypatch.undo()
     assert is_k_lean_td(g, td, 3) is True
     assert len(splits) == 6
-    assert (flows[True], flows[False], len(copies)) == (6, 12, 0)
+    assert (flows[True], flows[False], len(copies)) == (6, 6, 0)
 
 
 def test_build_disconnected_graph():

@@ -147,6 +147,8 @@ def test_interior_core_cutoff_without_a_core_is_none():
     assert cmg.core == ()
     assert cmg.core_boundary() == 0
     assert interior_core_cutoff(cmg, 2) is None
+    # a core smaller than k leaves no candidate: the search stops at once
+    assert interior_core_cutoff(gen_complete_bipartite(3, 2), 3) is None
 
 
 def test_interior_core_cutoff_rejects_negative_k():
@@ -575,6 +577,16 @@ def test_cmg_json_round_trip_with_parent():
     assert back.roles == gen.roles
     assert back.parent.graph == gen.parent.graph
     assert back.parent_map == gen.parent_map
+
+
+def test_cmg_stores_tuples_whatever_sequence_it_is_given():
+    """Lists given to the constructor are stored as tuples, so the JSON round
+    trip gives equal fields."""
+    cmg = CoreMarkedGraph(Graph.from_edges(2), [0], [Role("core")] * 2)
+    child = CoreMarkedGraph(Graph.from_edges(2), [], [Role("blown_up", node=0)] * 2, cmg, [0, 0])
+    for c in (cmg, child):
+        assert _fields(CoreMarkedGraph.from_json(_through_json(c.to_json()))) == _fields(c)
+    assert (cmg.core, cmg.roles, child.parent_map) == ((0,), (Role("core"),) * 2, (0, 0))
 
 
 def _set(items: list, i: int, value: object) -> None:
