@@ -29,20 +29,19 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        if _check_int(self.n) < 0:
             raise ValueError("vertex count must be non-negative")
         for u, v in self.edges:
-            if not (0 <= u < v < self.n):
+            if type(u) is not int or type(v) is not int or not 0 <= u < v < self.n:
                 raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]] = ()) -> "Graph":
-        """Build a graph, normalising edge pairs and dropping duplicates."""
+        """Build a graph, normalising edge pairs and dropping duplicates; ids
+        are checked before ordering them, which could raise ``TypeError``."""
         norm = set()
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            norm.add((u, v) if u < v else (v, u))
+            norm.add((u, v) if _check_int(u) < _check_int(v) else (v, u))
         return Graph(n, frozenset(norm))
 
     @property
@@ -217,13 +216,9 @@ def component_masks(masks: Sequence[int], allowed: int) -> list[tuple[int, int]]
     return out
 
 
-def components(g: Graph, within: Iterable[int] | None = None) -> list[frozenset[int]]:
-    """Components of ``g[within]`` (all of ``g`` by default), in original ids.
-
-    Components are ordered by their smallest vertex.
-    """
-    allowed = (1 << g.n) - 1 if within is None else _mask_of(check_vertices(g, within))
-    return [frozenset(_bits(c)) for c, _ in component_masks(g.adjacency_masks, allowed)]
+def components(g: Graph) -> list[frozenset[int]]:
+    """Components of ``g``, ordered by their smallest vertex."""
+    return [frozenset(_bits(c)) for c, _ in component_masks(g.adjacency_masks, (1 << g.n) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +293,6 @@ def is_separation(g: Graph, s: Separation) -> bool:
 # end.  The last, failed search of a weighted flow reaches exactly the
 # source side of the interior-first minimum cut closest to a, and the
 # vertices whose split arc leaves that side are the separator of menger.
-#
-# A search confined to part of the graph passes the vertex mask ``within``:
-# a vertex outside it gets split-arc capacity 0, so no path enters it.  The
-# residual search may step onto such a vertex's in-node but goes no further,
-# and the arcs among the other vertices keep the induced subgraph's order, so
-# the flow and its paths are the induced subgraph's, in the host's ids.
 
 
 @dataclass(frozen=True)
@@ -343,7 +332,6 @@ def _run_flow(
     fa: frozenset[int],
     fb: frozenset[int],
     weighted: bool = False,
-    within: int | None = None,
 ) -> tuple[int, list[int], list[int]]:
     """Max flow; returns (value, residual cap, parent list of the last search).
 
@@ -351,8 +339,7 @@ def _run_flow(
     it missed -1); an unweighted one stops once it reaches min(|a|, |b|).
     In weighted mode split arcs carry K for interior vertices and K+1 for
     vertices of ``a | b``, so the min cut is a minimum separator preferring
-    interior vertices among equally small ones.  Paths stay inside the
-    vertex mask ``within`` (everywhere by default).  Every flow entry point
+    interior vertices among equally small ones.  Every flow entry point
     passes through here, so this is where vertex ids are range-checked.
     """
     check_vertices(g, fa | fb)
@@ -362,9 +349,6 @@ def _run_flow(
         k_unit = g.n + 2
         for v in range(g.n):
             cap[2 * v] = k_unit + 1 if v in fa or v in fb else k_unit
-    if within is not None:
-        for v in _bits(((1 << g.n) - 1) & ~within):
-            cap[2 * v] = 0
 
     seeds = sorted(2 * v for v in fa)
     exits = set(2 * v + 1 for v in fb)
@@ -429,12 +413,11 @@ def menger(g: Graph, a: Iterable[int], b: Iterable[int]) -> MengerResult:
     return MengerResult(len(paths), paths, separator)
 
 
-def _disjoint_paths(
-    g: Graph, fa: frozenset[int], fb: frozenset[int], within: int | None = None
-) -> PathSystem:
-    """The path system of :func:`menger` in ``g[within]``, in ``g``'s ids:
-    the flow followed from each a-vertex whose split arc it uses."""
-    count, cap, _ = _run_flow(g, fa, fb, within=within)
+def _disjoint_paths(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> PathSystem:
+    """The path system of :func:`menger`: the flow followed from each
+    a-vertex whose split arc it uses.  Each path meets a only at its first
+    vertex and b only at its last."""
+    count, cap, _ = _run_flow(g, fa, fb)
     head = _flow_net(g)[0]
     succ = {head[e ^ 1] >> 1: head[e] >> 1 for e in range(2 * g.n, len(head), 2) if cap[e ^ 1] > 0}
 
@@ -503,5 +486,4 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    edges = ((_check_int(u), _check_int(v)) for u, v in obj["edges"])
-    return Graph.from_edges(_check_int(obj["n"]), edges)
+    return Graph.from_edges(obj["n"], obj["edges"])

@@ -29,7 +29,6 @@ from .graph_core import (
     SizeGuardError,
     _bits,
     _disjoint_paths,
-    _mask_of,
     _min_separator,
     check_k,
     check_vertices,
@@ -291,11 +290,15 @@ def star_or_path(
     1. tree star: on one BFS tree from ``min(u)``, cut down to the subtree
        that ``u`` spans (so every leaf lies in ``u``), the first node with
        ``m`` tree neighbours is a centre, because each of its branches ends
-       in ``u``; its legs come from the flow inside the subtree, started at
-       its first ``m`` tree neighbours (one augmentation per leg);
+       in ``u``; its legs are the tree paths through its first ``m`` tree
+       neighbours to the first vertex of ``u`` (see :func:`_tree_leg`), and
+       no flow runs;
     2. tree path: the best u-path of that tree;
-    3. exact star: every vertex as a centre, with legs from the flow in the
-       whole graph;
+    3. exact star: every vertex c as a centre, with legs from the flow in
+       the whole graph from the neighbours of c to ``u - {c}``.  The legs
+       avoid c with no vertex mask: a flow path meets its start set only at
+       its first vertex and every neighbour of c is a start, so the flow
+       never passes through c;
     4. exact path: a search over simple paths, started only at vertices of
        ``u``.  That suffices: a path through m vertices of ``u`` contains the
        subpath from its first u-vertex to its last, with the same count.  It
@@ -320,12 +323,12 @@ def star_or_path(
         nbrs[parent[v]].append(v)
     centre = next((c for c in sorted(order) if len(nbrs[c]) >= m), None)
     if centre is not None:
-        return _star(g, centre, sorted(nbrs[centre])[:m], fu, m, _mask_of(order))
+        legs = (_tree_leg(nbrs, parent, fu, centre, w) for w in sorted(nbrs[centre])[:m])
+        return StarWitness(centre, tuple(legs))
     path = _tree_best_u_path(nbrs, parent, order, fu)
     if sum(1 for v in path if v in fu) >= m:
         return PathWitness(path)
-    full = (1 << g.n) - 1
-    stars = (_star(g, c, g.neighbors(c), fu, m, full) for c in g.vertices if g.degree(c) >= m)
+    stars = (_star(g, c, fu, m) for c in g.vertices if g.degree(c) >= m)
     return next((s for s in stars if s), None) or _exact_u_path(g, fu, m)
 
 
@@ -353,13 +356,26 @@ def _u_tree(g: Graph, fu: frozenset[int]) -> tuple[dict[int, int], list[int]]:
     return {v: parent[v] for v in order}, order
 
 
-def _star(
-    g: Graph, c: int, starts: Iterable[int], fu: frozenset[int], m: int, within: int
-) -> StarWitness | None:
+def _tree_leg(
+    nbrs: dict[int, list[int]], parent: dict[int, int], fu: frozenset[int], c: int, w: int
+) -> tuple[int, ...]:
+    """The tree path from ``c`` through its tree neighbour ``w`` to the first
+    vertex of ``fu`` after c: up while coming from a child, since the root
+    lies in ``fu``; down to the least child while coming from the parent,
+    since every leaf lies in ``fu``.  Legs through distinct neighbours of c
+    share only c."""
+    leg, up = [c, w], w == parent[c]
+    while leg[-1] not in fu:
+        v = leg[-1]
+        leg.append(parent[v] if up else min(x for x in nbrs[v] if x != parent[v]))
+    return tuple(leg)
+
+
+def _star(g: Graph, c: int, fu: frozenset[int], m: int) -> StarWitness | None:
     """A star at ``c`` with ``m`` legs ending in ``fu``, or ``None``: the legs
-    are disjoint paths from ``starts``, neighbours of c, to ``fu - {c}`` inside
-    the vertex mask ``within`` that avoid c."""
-    legs = _disjoint_paths(g, frozenset(starts), fu - {c}, within=within & ~(1 << c)).paths
+    are the disjoint paths of one flow from the neighbours of c to ``fu -
+    {c}``, which never passes through c (see :func:`star_or_path`)."""
+    legs = _disjoint_paths(g, g.neighbors(c), fu - {c}).paths
     return StarWitness(c, tuple((c,) + p for p in legs[:m])) if len(legs) >= m else None
 
 

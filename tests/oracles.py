@@ -14,7 +14,6 @@ from typing import Callable
 from kconnkit.canon import _canon_key, _refine
 from kconnkit.graph_core import (
     Graph,
-    PathSystem,
     Separation,
     SizeGuardError,
     components,
@@ -154,18 +153,16 @@ def brute_menger_separator(g: Graph, a, b) -> frozenset[int]:
     return least.pop()
 
 
-def subgraph_disjoint_paths(g: Graph, a, b, within) -> PathSystem:
-    """``graph_core._disjoint_paths`` by copying ``g[within]``.
-
-    The reference for the vertex mask: the induced subgraph on the vertex
-    set ``within`` gets its own flow network, :func:`menger` runs on it, and
-    the paths are mapped back to the ids of ``g``.
-    """
-    side = frozenset(within)
-    sub, old = g.induced_subgraph(side)
-    idx = {o: i for i, o in enumerate(old)}
-    res = menger(sub, {idx[v] for v in a if v in side}, {idx[v] for v in b if v in side})
-    return PathSystem(tuple(tuple(old[v] for v in p) for p in res.paths.paths))
+def components_within(g: Graph, keep) -> list[frozenset[int]]:
+    """Components of ``g[keep]`` in ``g``'s ids, ordered by their smallest
+    vertex."""
+    rest = sum(1 << v for v in keep)
+    out = []
+    while rest:
+        comp = reachable_mask(g.adjacency_masks, rest & -rest, rest)
+        out.append(frozenset(v for v in range(g.n) if comp >> v & 1))
+        rest &= ~comp
+    return out
 
 
 def min_path_adhesion(td: TreeDecomposition, t1: int, t2: int) -> int | None:
@@ -383,7 +380,7 @@ def frozenset_min_max_decomposition(
                 val = part_cost
                 children = []
                 feasible = True
-                for child_comp in components(g, comp - part):
+                for child_comp in components_within(g, comp - part):
                     child_if = neighbourhood(child_comp) & part
                     if len(child_if) >= k:
                         feasible = False
@@ -511,7 +508,7 @@ def random_separation(rng, g: Graph, max_sep: int = 3, allow_improper: bool = Fa
     sub_vertices = sorted(set(g.vertices) - s)
     if not sub_vertices:
         return None
-    comps = components(g, sub_vertices)
+    comps = components_within(g, sub_vertices)
     sides = [rng.randint(0, 1) for _ in comps]
     a = set(s)
     b = set(s)

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from kconnkit.graph_core import (
     Graph,
-    _disjoint_paths,
-    _mask_of,
     PathSystem,
     Separation,
     complete_bipartite_graph,
@@ -32,7 +30,6 @@ from oracles import (
     min_separator_size,
     outcome,
     random_graph,
-    subgraph_disjoint_paths,
 )
 
 
@@ -63,32 +60,6 @@ def test_components_two_disjoint_edges():
     assert components(g) == [frozenset({0, 1}), frozenset({2, 3})]
 
 
-def test_components_within_matches_induced_subgraph():
-    rng = random.Random(6)
-    for g in connected_graphs(6):
-        subsets = [set(), set(g.vertices)]
-        subsets += [{v for v in g.vertices if rng.random() < 0.5} for _ in range(4)]
-        for keep in subsets:
-            sub, old = g.induced_subgraph(keep)
-            expected = [frozenset(old[v] for v in c) for c in components(sub)]
-            assert components(g, keep) == expected
-
-
-def test_disjoint_paths_within_match_the_induced_subgraph():
-    """A vertex mask gives the paths menger finds on a copy of g[within]."""
-    rng = random.Random(1811)
-    confined = 0
-    for g in connected_graphs(6):
-        for _ in range(4):
-            a = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
-            b = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
-            keep = {v for v in g.vertices if rng.random() < 0.75}
-            got = _disjoint_paths(g, a, b, within=_mask_of(keep))
-            assert got == subgraph_disjoint_paths(g, a, b, keep), (g, a, b, keep)
-            confined += len(got) < menger_count(g, a, b)
-    assert confined > 0
-
-
 def test_reachable_mask_stops_once_it_holds_cover():
     assert reachable_mask(path_graph(6).adjacency_masks, 0b1, 0b111111, 0b100) == 0b111
     rng = random.Random(11)
@@ -108,10 +79,6 @@ def test_vertex_arguments_outside_the_graph_are_rejected():
     g = path_graph(3)
     with pytest.raises(ValueError, match="vertex (-1|5) outside"):
         g.induced_subgraph([-1, 5])
-    with pytest.raises(ValueError, match="vertex -1 outside"):
-        components(g, [-1])
-    with pytest.raises(ValueError, match="vertex 5 outside"):
-        components(g, [5])
 
 
 def test_menger_complete_bipartite_sides():
@@ -310,6 +277,12 @@ P4 = path_graph(4)
     "call, expected",
     [
         pytest.param(lambda: Graph(-1, frozenset()), "vertex count must be non-negative", id="negative-n"),
+        pytest.param(lambda: Graph(2.0, frozenset()), "expected an integer, got 2.0", id="float-n"),
+        pytest.param(lambda: Graph(True, frozenset()), "expected an integer, got True", id="bool-n"),
+        pytest.param(lambda: Graph(3, frozenset({(0, 1.5)})), "bad edge (0,1.5) for n=3", id="float-edge"),
+        pytest.param(lambda: Graph.from_edges(3, [(0, 1.5)]), "expected an integer, got 1.5", id="float-endpoint"),
+        pytest.param(lambda: Graph.from_edges(3, [(0, True)]), "expected an integer, got True", id="bool-endpoint"),
+        pytest.param(lambda: Graph.from_edges(3, [(1, 1)]), "bad edge (1,1) for n=3", id="loop"),
         pytest.param(
             lambda: P4.relabel([0, 0, 1, 2]), "perm must be a permutation of the vertices", id="not-a-permutation"
         ),

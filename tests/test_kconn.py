@@ -523,3 +523,66 @@ def test_star_or_path_matches_brute_force():
                     check_star_or_path(g, res, u, m)
                 kinds[type(res).__name__] += 1
     assert min(kinds.values()) > 200, kinds
+
+
+def test_tree_star_runs_no_flow(monkeypatch):
+    """A 30x30 grid with a 6-vertex tail ending in three leaves, u = the
+    leaves: the u-spanned tree is the tail's end and the leaves, whose legs
+    are read off the tree without a flow over the 909-vertex host."""
+    side = 30
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    tail = range(side * side, side * side + 6)
+    edges += [(side * side - 1, tail[0])] + [(v, v + 1) for v in tail[:-1]]
+    u = {tail[-1] + 1, tail[-1] + 2, tail[-1] + 3}
+    edges += [(tail[-1], leaf) for leaf in u]
+    g = Graph.from_edges(side * side + 9, edges)
+    flows = []
+    real_run_flow = graph_core._run_flow
+
+    def counting_run_flow(*args, **kwargs):
+        flows.append(args[1:3])
+        return real_run_flow(*args, **kwargs)
+
+    monkeypatch.setattr(graph_core, "_run_flow", counting_run_flow)
+    res = star_or_path(g, u, 3)
+    assert res == StarWitness(tail[-1], tuple((tail[-1], leaf) for leaf in sorted(u)))
+    assert flows == []
+
+
+def test_tree_star_legs_are_tree_paths_to_their_first_u_vertex():
+    rng = random.Random(1811)
+    stars = 0
+    for g in connected_graphs(6):
+        for _ in range(2):
+            u = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+            parent, order = kconn._u_tree(g, u)
+            degree = collections.Counter(v for w in order[1:] for v in (w, parent[w]))
+            for m in range(1, 5):
+                if max(degree.values(), default=0) < m:
+                    continue
+                res = star_or_path(g, u, m)
+                assert isinstance(res, StarWitness), (g, u, m, res)
+                check_star_or_path(g, res, u, m)
+                for leg in res.legs:
+                    assert all(parent[x] == y or parent[y] == x for x, y in zip(leg, leg[1:]))
+                    assert [v for v in leg[1:] if v in u] == [leg[-1]], (g, u, m, leg)
+                stars += 1
+    assert stars > 300
+
+
+def test_exact_star_finds_as_many_legs_as_brute_force():
+    """The unmasked flow from N(c) to u - {c} gives as many legs as the
+    disjoint paths in g without c's edges, so c needs no mask."""
+    rng = random.Random(1306)
+    for g in connected_graphs(6):
+        u = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        for c in g.vertices:
+            rest = Graph.from_edges(g.n, [e for e in g.edges if c not in e])
+            count = brute_max_disjoint_paths(rest, g.neighbors(c), u - {c})
+            for m in range(1, g.degree(c) + 1):
+                star = kconn._star(g, c, u, m)
+                assert (star is not None) == (count >= m), (g, c, u, m)
+                if star is not None:
+                    assert star.centre == c
+                    check_star_or_path(g, star, u, m)

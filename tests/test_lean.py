@@ -143,9 +143,9 @@ def test_split_runs_one_separator_flow_and_copies_nothing(monkeypatch):
     split = lean._split_on_violation
     induced_subgraph = Graph.induced_subgraph
 
-    def counting_run_flow(g, fa, fb, weighted=False, **within):
+    def counting_run_flow(g, fa, fb, weighted=False):
         flows[weighted] += 1
-        return run_flow(g, fa, fb, weighted, **within)
+        return run_flow(g, fa, fb, weighted)
 
     def counting_split(g, td, v):
         splits.append(v)
