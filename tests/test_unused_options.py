@@ -10,6 +10,7 @@ and a call of a method skips its receiver.
 
 import ast
 import collections
+import functools
 from pathlib import Path
 
 import pytest
@@ -36,10 +37,14 @@ def _passes(call: ast.Call, index: int | None, name: str) -> bool:
     return (index is not None and len(call.args) > index) or any(k.arg == name for k in call.keywords)
 
 
-def unused_options(definitions: str, callers: list[str]) -> list[tuple[int, str]]:
+@functools.cache
+def _repo_calls() -> dict[str, list[ast.Call]]:
+    return _calls([p.read_text() for p in CALLERS])
+
+
+def unused_options(definitions: str, calls: dict[str, list[ast.Call]]) -> list[tuple[int, str]]:
     """(line, "function.parameter") of every parameter with a default of a
-    function in ``definitions`` that no call in ``callers`` passes."""
-    calls = _calls(callers)
+    function in ``definitions`` that no call in ``calls`` passes."""
     tree = ast.parse(definitions)
     methods = {
         id(f)
@@ -85,7 +90,7 @@ def test_unused_options_are_found():
         "    pass\n"
     )
     callers = ["f(1, 2, e=5)\ng(*args)\nobj.m(1)\n", "C.s(1)\nh(**kw)\n"]
-    assert unused_options(definitions, callers) == [
+    assert unused_options(definitions, _calls(callers)) == [
         (1, "f.c"),
         (1, "f.d"),
         (8, "m.w"),
@@ -96,5 +101,4 @@ def test_unused_options_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_options(path):
-    callers = [p.read_text() for p in CALLERS]
-    assert unused_options(path.read_text(), callers) == []
+    assert unused_options(path.read_text(), _repo_calls()) == []
