@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .graph_core import Graph, SizeGuardError, _bits, check_k, check_vertices, component_masks
+from .graph_core import Graph, SizeGuardError, _bits, _check_int, check_k, check_vertices
+from .graph_core import component_masks
 # menger is unused here but kept: the benchmark's tracer wraps duality.menger.
 from .graph_core import menger  # noqa: F401
 from .graph_core import menger_count as min_separator_size  # equal by Menger's theorem
@@ -234,7 +235,8 @@ def check_duality(g: Graph, a, k: int, m: int) -> DualityReport:
     """
     if g.n > _MAX_EXACT_N:
         raise SizeGuardError(f"check_duality limited to n <= _MAX_EXACT_N = {_MAX_EXACT_N}")
-    if m < k:
+    check_k(k)
+    if _check_int(m) < k:
         raise ValueError("m must be at least k")
     fa = frozenset(a)
     subset = max_k_connected_subset(g, fa, k)

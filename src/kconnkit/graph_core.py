@@ -162,8 +162,8 @@ def check_vertices(g: Graph, vs: Iterable[int]) -> frozenset[int]:
 
 
 def check_k(k: int) -> None:
-    """``ValueError`` unless the connectivity parameter ``k`` is non-negative."""
-    if k < 0:
+    """``ValueError`` unless ``k`` is a non-negative plain ``int``."""
+    if _check_int(k) < 0:
         raise ValueError(f"k must be non-negative, got {k}")
 
 
@@ -291,25 +291,23 @@ def is_separation(g: Graph, s: Separation) -> bool:
 # node.  So the arrays never change between flows, only the capacity vector
 # is copied, and each flow path meets a only at its start and b only at its
 # end.  The last, failed search of a weighted flow reaches exactly the
-# source side of the interior-first minimum cut closest to a, and the
-# vertices whose split arc leaves that side are the separator of menger.
+# source side of the interior-first minimum cut closest to a: the vertices
+# whose in-node it holds are the cut's side, and those of them whose out-node
+# it misses are the separator X of menger.
 
-
-@dataclass(frozen=True)
-class PathSystem:
-    """A tuple of pairwise vertex-disjoint paths, each a vertex sequence."""
-
-    paths: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
+_Path = tuple[int, ...]  # a path as its vertex sequence
 
 
 @dataclass(frozen=True)
 class MengerResult:
+    """``count`` disjoint a-b paths as vertex tuples, and a minimum a-b
+    separator X with the cut's ``side``, both off one flow search: X plus
+    every component of g - X meeting a - X."""
+
     count: int
-    paths: PathSystem
+    paths: tuple[_Path, ...]
     separator: frozenset[int]
+    side: frozenset[int]
 
 
 @lru_cache(maxsize=4096)
@@ -401,19 +399,19 @@ def menger(g: Graph, a: Iterable[int], b: Iterable[int]) -> MengerResult:
     """Maximum system of pairwise vertex-disjoint a-b paths.
 
     Returns the count, a witnessing path system, and a minimum a-b separator
-    of the same size.  A vertex of ``a & b`` counts as a trivial path and is
-    forced into every separator.
+    of the same size with its side, both read off one flow's last search
+    (see :func:`_min_cut`).  A vertex of ``a & b`` counts as a trivial path
+    and is forced into every separator.
     """
-    fa = frozenset(a)
-    fb = frozenset(b)
+    fa, fb = frozenset(a), frozenset(b)
     paths = _disjoint_paths(g, fa, fb)
-    separator = _min_separator(g, fa, fb)
+    separator, side = _min_cut(g, fa, fb)
     if len(separator) != len(paths):
         raise AssertionError("mincut size does not match maxflow")
-    return MengerResult(len(paths), paths, separator)
+    return MengerResult(len(paths), paths, separator, side)
 
 
-def _disjoint_paths(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> PathSystem:
+def _disjoint_paths(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> tuple[_Path, ...]:
     """The path system of :func:`menger`: the flow followed from each
     a-vertex whose split arc it uses.  Each path meets a only at its first
     vertex and b only at its last."""
@@ -430,18 +428,21 @@ def _disjoint_paths(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> PathSys
             paths.append(tuple(seq))
     if len(paths) != count:
         raise AssertionError("flow decomposition lost paths")
-    return PathSystem(tuple(paths))
+    return tuple(paths)
 
 
-def _min_separator(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> frozenset[int]:
-    """The minimum a-b separator that :func:`menger` reports.
+def _min_cut(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """The minimum a-b separator X that :func:`menger` reports, and its side.
 
-    It comes from a weighted flow whose min cut consists of split arcs only
-    and, among minimum separators, prefers interior vertices: the vertices
-    whose split arc leaves the flow's last, failed search.
+    One weighted flow, whose min cut consists of split arcs only and, among
+    minimum separators, prefers interior vertices.  Its last, failed search
+    reaches the in-node of every vertex of the side: X plus every component
+    of g - X meeting a - X, since no edge arc saturates and each flow path
+    crosses the cut once.  Of those, it misses the out-node of X's vertices.
     """
     _, _, parent = _run_flow(g, fa, fb, weighted=True)
-    return frozenset(v for v in range(g.n) if parent[2 * v] != -1 and parent[2 * v + 1] == -1)
+    side = frozenset(v for v in range(g.n) if parent[2 * v] != -1)
+    return frozenset(v for v in side if parent[2 * v + 1] == -1), side
 
 
 def menger_count(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
@@ -451,18 +452,19 @@ def menger_count(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
 
 @lru_cache(maxsize=1 << 20)
 def _menger_count_cached(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> int:
+    # seed the flow from the smaller set (fewer BFS seeds); the key predates the swap
     if (len(fb), sorted(fb)) < (len(fa), sorted(fa)):
         fa, fb = fb, fa
     return _run_flow(g, fa, fb)[0]
 
 
 def validate_path_system(
-    g: Graph, ps: PathSystem, a: Iterable[int], b: Iterable[int]
+    g: Graph, ps: Sequence[Sequence[int]], a: Iterable[int], b: Iterable[int]
 ) -> bool:
     """Check that ``ps`` is a system of pairwise disjoint a-b paths in ``g``."""
     fa, fb = frozenset(a), frozenset(b)
     seen: set[int] = set()
-    for p in ps.paths:
+    for p in ps:
         if not p:
             return False
         if p[0] not in fa or p[-1] not in fb:

@@ -29,7 +29,8 @@ from .graph_core import (
     SizeGuardError,
     _bits,
     _disjoint_paths,
-    _min_separator,
+    _check_int,
+    _min_cut,
     check_k,
     check_vertices,
     menger,  # noqa: F401
@@ -71,7 +72,7 @@ def is_k_connected(g: Graph, a: Iterable[int], k: int) -> KConnVerdict:
     if failed is None:
         return KConnVerdict(True)
     z1, z2, _ = failed
-    return KConnVerdict(False, KConnWitness(z1, z2, _min_separator(g, z1, z2)))
+    return KConnVerdict(False, KConnWitness(z1, z2, _min_cut(g, z1, z2)[0]))
 
 
 def first_failed_pair(
@@ -314,7 +315,7 @@ def star_or_path(
     fu = check_vertices(g, u)
     if not fu:
         raise ValueError("u must be non-empty")
-    if m < 1:
+    if _check_int(m) < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     parent, order = _u_tree(g, fu)
     nbrs: dict[int, list[int]] = {v: [] for v in order}
@@ -336,16 +337,21 @@ def _u_tree(g: Graph, fu: frozenset[int]) -> tuple[dict[int, int], list[int]]:
     """The subtree spanned by ``fu`` of the BFS tree from ``min(fu)``
     (neighbours ascending): the union of the tree paths from ``fu`` to the
     root, as its BFS parents and visiting order.  Every leaf of it lies in
-    ``fu``."""
+    ``fu``.  The BFS stops once it has found all of ``fu``: every vertex on
+    those paths, with its parent, was found before."""
     root = min(fu)
     parent = {root: root}
     order = [root]
+    missing = len(fu) - 1
     for v in order:
+        if not missing:
+            break
         for w in sorted(g.neighbors(v)):
             if w not in parent:
                 parent[w] = v
                 order.append(w)
-    if not fu <= parent.keys():
+                missing -= w in fu
+    if missing:
         raise ValueError("u spans multiple components")
     keep = {root}
     for v in fu:
@@ -375,7 +381,7 @@ def _star(g: Graph, c: int, fu: frozenset[int], m: int) -> StarWitness | None:
     """A star at ``c`` with ``m`` legs ending in ``fu``, or ``None``: the legs
     are the disjoint paths of one flow from the neighbours of c to ``fu -
     {c}``, which never passes through c (see :func:`star_or_path`)."""
-    legs = _disjoint_paths(g, g.neighbors(c), fu - {c}).paths
+    legs = _disjoint_paths(g, g.neighbors(c), fu - {c})
     return StarWitness(c, tuple((c,) + p for p in legs[:m])) if len(legs) >= m else None
 
 

@@ -11,12 +11,14 @@ this by a separator scan without flows and returns the first failed demand.
 
 The builder starts from the trivial decomposition and resolves violations
 by splitting along one :func:`~kconnkit.graph_core.menger` system of the
-violating sets: a minimum separator X and as many disjoint paths, each
+violating sets z1, z2: a minimum separator X, its side A (X plus the
+components of G - X meeting z1 - X) and as many disjoint paths, each
 meeting X once (Bellenbaum & Diestel, CPC 11, 2002).  The tree is doubled
-into an A-copy and a B-copy whose parts are trimmed to the respective side
-and padded with the vertex of X on each path whose other-side half meets
-them.  That split never increases any part or adhesion set, and the two
-copies join at the nodes holding the violating sets.
+into an A-copy and a B-copy, B = (V - A) | X, whose parts are trimmed to
+the respective side and padded with the vertex of X on each path whose
+other-side half meets them.  That split never increases any part or
+adhesion set, and the two copies join at the nodes holding the violating
+sets.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph_core import Graph, SizeGuardError, _bits, _mask_of, check_k, check_vertices, menger
-from .graph_core import reachable_mask
+from .graph_core import Graph, SizeGuardError, check_k, check_vertices, menger
 # menger_count is unused here but kept: the benchmark's tracer wraps lean.menger_count.
 from .graph_core import menger_count  # noqa: F401
 from .kconn import first_failed_pair
@@ -80,14 +81,14 @@ def is_k_lean_td(g: Graph, td: TreeDecomposition, k: int):
     if not td.tree.is_tree():
         raise ValueError("the decomposition's tree is not a tree")
     check_vertices(g, frozenset().union(*td.parts))
-    for s in td.adhesion_sets():
+    cuts = [(side, td.parts[u] & td.parts[w]) for u, w, side in tree_edge_sides(td.tree)]
+    for _, s in cuts:
         if len(s) >= k:
             raise ValueError(f"adhesion set {sorted(s)} has size >= k={k}")
-    # an edge lies on the t1-t2 tree path iff exactly one of t1, t2 is on u's side
-    cuts = [(side, len(td.parts[u] & td.parts[w])) for u, w, side in tree_edge_sides(td.tree)]
 
+    # an edge lies on the t1-t2 tree path iff exactly one of t1, t2 is on u's side
     def cut_order(t1: int, t2: int) -> int | None:
-        return min((size for side, size in cuts if (side >> t1 ^ side >> t2) & 1), default=None)
+        return min((len(s) for side, s in cuts if (side >> t1 ^ side >> t2) & 1), default=None)
 
     violation = _first_violation(g, list(td.parts), k, cut_order)
     return True if violation is None else violation
@@ -148,24 +149,20 @@ def _split_on_violation(
 ) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
     m = menger(g, v.z1, v.z2)
     x = m.separator
-    # orient the separation so that z1 lies in the a-side
-    x_mask = _mask_of(x)
-    rest = ((1 << g.n) - 1) & ~x_mask
-    a_mask = reachable_mask(g.adjacency_masks, _mask_of(v.z1) & rest, rest) | x_mask
-    a = frozenset(_bits(a_mask))
-    b = frozenset(_bits((rest & ~a_mask) | x_mask))
+    # the separation (a, b) with z1 in a, read off menger's flow
+    a = m.side
+    b = (g.vertex_set - a) | x
 
     # each of the len(x) disjoint z1-z2 paths meets x once, at xx: its half up
     # to xx lies in the a-side, its half from xx in the b-side; each copy is
     # padded along the other side's halves, keyed by xx
     halves = [(xx, frozenset(p[: p.index(xx) + 1]), frozenset(p[p.index(xx) :]))
-              for p in m.paths.paths for xx in x.intersection(p)]
+              for p in m.paths for xx in x.intersection(p)]
     n_old = td.tree.n
     new_parts = [(part & a) | {xx for xx, _, q in halves if q & part} for part in td.parts]
     new_parts += [(part & b) | {xx for xx, p, _ in halves if p & part} for part in td.parts]
-    new_edges = [(u, w) for u, w in td.tree.sorted_edges()]
-    new_edges += [(u + n_old, w + n_old) for u, w in td.tree.sorted_edges()]
-    new_edges.append((v.t2, v.t1 + n_old))
+    edges = td.tree.sorted_edges()
+    new_edges = edges + [(u + n_old, w + n_old) for u, w in edges] + [(v.t2, v.t1 + n_old)]
     return new_parts, new_edges
 
 

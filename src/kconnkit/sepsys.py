@@ -86,21 +86,14 @@ def nss_from_separations(g: Graph, seps: Iterable[Separation]) -> NestedSeparati
     return NestedSeparationSystem(g, frozenset(full))
 
 
-@dataclass(frozen=True)
-class Orientation:
-    chosen: frozenset[Separation]
+def is_consistent(n: NestedSeparationSystem, o: frozenset[Separation]) -> bool:
+    """True iff the chosen separations ``o`` are down-closed in ``n``."""
+    return all(t in o for s in o for t in n.seps if t.leq(s))
 
 
-def is_consistent(n: NestedSeparationSystem, o: Orientation) -> bool:
-    for s in o.chosen:
-        for t in n.seps:
-            if t.leq(s) and t not in o.chosen:
-                return False
-    return True
-
-
-def consistent_orientations(n: NestedSeparationSystem) -> list[Orientation]:
-    """All consistent orientations, sorted by their sorted members.
+def consistent_orientations(n: NestedSeparationSystem) -> list[frozenset[Separation]]:
+    """All consistent orientations, each the frozenset of its chosen
+    separations, sorted by their sorted members.
 
     The search emits them in that order: pairs are ordered by their smaller
     member, which is tried first.  Two orientations that first differ at the
@@ -109,11 +102,11 @@ def consistent_orientations(n: NestedSeparationSystem) -> list[Orientation]:
     the empty one, whose part is the whole vertex set.
     """
     pairs = n.pairs
-    out: list[Orientation] = []
+    out: list[frozenset[Separation]] = []
 
     def extend(i: int, chosen: list[Separation]) -> None:
         if i == len(pairs):
-            out.append(Orientation(frozenset(chosen)))
+            out.append(frozenset(chosen))
             return
         for s in sorted(pairs[i], key=Separation.sort_key):
             # consistency is a pairwise condition (including a pick against
@@ -132,10 +125,10 @@ def consistent_orientations(n: NestedSeparationSystem) -> list[Orientation]:
     return out
 
 
-def part_of(n: NestedSeparationSystem, o: Orientation) -> frozenset[int]:
+def part_of(n: NestedSeparationSystem, o: frozenset[Separation]) -> frozenset[int]:
     """The part of an orientation: intersection of its b-sides."""
     part = n.graph.vertex_set
-    for s in o.chosen:
+    for s in o:
         part &= s.b
     return part
 
@@ -212,11 +205,9 @@ def nss_to_td(n: NestedSeparationSystem) -> TreeDecomposition:
     if not orientations:
         raise AssertionError("a finite nested system always has an orientation")
     parts = tuple(part_of(n, o) for o in orientations)
-    edges = []
-    for i, j in itertools.combinations(range(len(orientations)), 2):
-        # each holds one member of every pair: two differ in one pair
-        if len(orientations[i].chosen ^ orientations[j].chosen) == 2:
-            edges.append((i, j))
+    # each holds one member of every pair: two differ in one pair
+    pairs = itertools.combinations(range(len(orientations)), 2)
+    edges = [(i, j) for i, j in pairs if len(orientations[i] ^ orientations[j]) == 2]
     tree = Graph.from_edges(len(orientations), edges)
     td = TreeDecomposition(tree, parts)
     if not tree.is_tree():

@@ -310,6 +310,35 @@ P3_TWO_PARTS = TreeDecomposition(Graph.from_edges(2, [(0, 1)]), (frozenset({0, 1
             id="certificate-holds",
         ),
         pytest.param(
+            lambda: k_tree_width(path_graph(4), 2.0), "expected an integer, got 2.0", id="float-k"
+        ),
+        pytest.param(
+            lambda: k_tree_width(path_graph(4), True), "expected an integer, got True", id="bool-k"
+        ),
+        pytest.param(
+            lambda: k_tree_width(path_graph(4), "2"), "expected an integer, got '2'", id="str-k"
+        ),
+        pytest.param(
+            lambda: check_duality(path_graph(4), {0, 1}, 2, 2.0),
+            "expected an integer, got 2.0",
+            id="float-m",
+        ),
+        pytest.param(
+            lambda: check_duality(path_graph(4), {0, 1}, 1, True),
+            "expected an integer, got True",
+            id="bool-m",
+        ),
+        pytest.param(
+            lambda: check_duality(path_graph(4), {0, 1}, 2, "2"),
+            "expected an integer, got '2'",
+            id="str-m",
+        ),
+        pytest.param(
+            lambda: check_duality(path_graph(4), {0, 1}, "2", 2),
+            "expected an integer, got '2'",
+            id="str-k-duality",
+        ),
+        pytest.param(
             lambda: _min_max_decomposition(Graph.from_edges(0), 2, len),
             (0, TreeDecomposition(Graph.from_edges(1), (frozenset(),))),
             id="empty-graph",

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kconnkit.graph_core import (
     Graph,
-    PathSystem,
     Separation,
+    check_k,
     complete_bipartite_graph,
     complete_graph,
     components,
@@ -93,7 +93,7 @@ def test_menger_path_cut_vertex():
     res = menger(g, {0}, {2})
     assert res.count == 1
     assert res.separator == frozenset({1})
-    assert res.paths.paths == ((0, 1, 2),)
+    assert res.paths == ((0, 1, 2),)
 
 
 def test_menger_trivial_paths_in_intersection():
@@ -102,7 +102,7 @@ def test_menger_trivial_paths_in_intersection():
     res = menger(g, {0, 1}, {1, 2})
     assert res.count == 1
     assert res.separator == frozenset({1})
-    assert res.paths.paths == ((1,),)
+    assert res.paths == ((1,),)
     assert validate_path_system(g, res.paths, {0, 1}, {1, 2})
 
 
@@ -131,7 +131,7 @@ def test_menger_matches_brute_force_on_seeded_instances():
         b = frozenset(v for v in g.vertices if rng.random() < 0.4)
         res = menger(g, a, b)
         assert res.count == brute_max_disjoint_paths(g, a, b)
-        assert res.count == len(res.separator) == len(res.paths.paths)
+        assert res.count == len(res.separator) == len(res.paths)
         assert validate_path_system(g, res.paths, a, b)
         assert brute_is_separator(g, res.separator, a, b)
         assert a & b <= res.separator
@@ -205,6 +205,33 @@ def test_menger_separator_matches_the_brute_force_rule():
     assert competing > 300, competing
 
 
+def test_menger_side_is_the_separator_plus_the_components_meeting_a():
+    """menger's side, read off its weighted flow, is X plus every vertex
+    that a plain BFS reaches from a - X in g - X, and it is the a-side of a
+    separation of order ``count`` with b on the other side."""
+    rng = random.Random(1902)
+    cases = 0
+    for g in connected_graphs(6):
+        for _ in range(4):
+            a = frozenset(rng.sample(range(g.n), rng.randint(0, g.n)))
+            b = frozenset(rng.sample(range(g.n), rng.randint(0, g.n)))
+            res = menger(g, a, b)
+            x = res.separator
+            reached = set(a - x)
+            queue = list(reached)
+            for v in queue:
+                for w in g.neighbors(v):
+                    if w not in reached and w not in x:
+                        reached.add(w)
+                        queue.append(w)
+            assert res.side == x | reached, (g, a, b)
+            assert a <= res.side
+            sep = Separation(res.side, (g.vertex_set - res.side) | x)
+            assert is_separation(g, sep) and sep.order == res.count and b <= sep.b
+            cases += 1
+    assert cases == 572
+
+
 @st.composite
 def graphs_and_sets(draw):
     n = draw(st.integers(min_value=1, max_value=7))
@@ -236,7 +263,7 @@ def test_each_menger_path_hits_every_separator():
             for s in itertools.combinations(g.vertices, size):
                 fs = frozenset(s)
                 if brute_is_separator(g, fs, a, b):
-                    for p in res.paths.paths:
+                    for p in res.paths:
                         assert fs & set(p)
 
 
@@ -266,7 +293,7 @@ def test_induced_subgraph_mapping():
 
 def test_path_system_validation_catches_overlap():
     g = complete_graph(4)
-    ps = PathSystem(((0, 1), (2, 1)))
+    ps = ((0, 1), (2, 1))
     assert not validate_path_system(g, ps, {0, 2}, {1})
 
 
@@ -287,25 +314,29 @@ P4 = path_graph(4)
             lambda: P4.relabel([0, 0, 1, 2]), "perm must be a permutation of the vertices", id="not-a-permutation"
         ),
         pytest.param(lambda: cycle_graph(2), "cycle needs at least 3 vertices", id="cycle-of-two"),
-        pytest.param(lambda: validate_path_system(P4, PathSystem(((0, 1, 2, 3),)), {0}, {3}), True, id="valid"),
-        pytest.param(lambda: validate_path_system(P4, PathSystem(((),)), {0}, {3}), False, id="empty-path"),
+        pytest.param(lambda: check_k(-1), "k must be non-negative, got -1", id="negative-k"),
+        pytest.param(lambda: check_k(2.0), "expected an integer, got 2.0", id="float-k"),
+        pytest.param(lambda: check_k(True), "expected an integer, got True", id="bool-k"),
+        pytest.param(lambda: check_k("2"), "expected an integer, got '2'", id="str-k"),
+        pytest.param(lambda: validate_path_system(P4, ((0, 1, 2, 3),), {0}, {3}), True, id="valid"),
+        pytest.param(lambda: validate_path_system(P4, ((),), {0}, {3}), False, id="empty-path"),
         pytest.param(
-            lambda: validate_path_system(P4, PathSystem(((1, 2, 3),)), {0}, {3}), False, id="start-outside-a"
+            lambda: validate_path_system(P4, ((1, 2, 3),), {0}, {3}), False, id="start-outside-a"
         ),
         pytest.param(
-            lambda: validate_path_system(P4, PathSystem(((0, 1, 2),)), {0}, {3}), False, id="end-outside-b"
+            lambda: validate_path_system(P4, ((0, 1, 2),), {0}, {3}), False, id="end-outside-b"
         ),
         pytest.param(
-            lambda: validate_path_system(P4, PathSystem(((0, 1, 2, 3),)), {0, 1}, {3}), False, id="interior-in-a"
+            lambda: validate_path_system(P4, ((0, 1, 2, 3),), {0, 1}, {3}), False, id="interior-in-a"
         ),
-        pytest.param(lambda: validate_path_system(P4, PathSystem(((0, 2, 3),)), {0}, {3}), False, id="non-edge"),
+        pytest.param(lambda: validate_path_system(P4, ((0, 2, 3),), {0}, {3}), False, id="non-edge"),
         pytest.param(
-            lambda: validate_path_system(P4, PathSystem(((0, 1, 2, 1, 2, 3),)), {0}, {3}),
+            lambda: validate_path_system(P4, ((0, 1, 2, 1, 2, 3),), {0}, {3}),
             False,
             id="repeated-vertex",
         ),
         pytest.param(
-            lambda: validate_path_system(complete_graph(4), PathSystem(((0, 2, 3), (1, 2, 3))), {0, 1}, {3}),
+            lambda: validate_path_system(complete_graph(4), ((0, 2, 3), (1, 2, 3)), {0, 1}, {3}),
             False,
             id="shared-vertex",
         ),

@@ -229,6 +229,15 @@ def test_negative_k_is_rejected():
     assert max_k_connected_subset(g, a, 0) == MaxKConnResult(3, a)
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_non_integer_k_and_m_are_rejected(bad):
+    # True would pass as k = 1, 2.0 and "2" fail inside the search
+    expected = f"expected an integer, got {bad!r}"
+    assert outcome(lambda: is_k_connected(cycle_graph(5), range(5), bad)) == expected
+    assert outcome(lambda: max_k_connected_subset(cycle_graph(5), range(5), bad)) == expected
+    assert outcome(lambda: star_or_path(path_graph(4), {0, 3}, bad)) == expected
+
+
 def test_is_k_connected_matches_brute_force_exhaustively_small():
     for g in connected_graphs(5):
         for k in (1, 2, 3):
@@ -525,10 +534,9 @@ def test_star_or_path_matches_brute_force():
     assert min(kinds.values()) > 200, kinds
 
 
-def test_tree_star_runs_no_flow(monkeypatch):
-    """A 30x30 grid with a 6-vertex tail ending in three leaves, u = the
-    leaves: the u-spanned tree is the tail's end and the leaves, whose legs
-    are read off the tree without a flow over the 909-vertex host."""
+def _grid_with_tail() -> tuple[Graph, range, set[int]]:
+    """A 30x30 grid with a 6-vertex tail ending in three leaves, and u = the
+    leaves: the u-spanned tree is the tail's end and the leaves."""
     side = 30
     edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
     edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
@@ -536,7 +544,13 @@ def test_tree_star_runs_no_flow(monkeypatch):
     edges += [(side * side - 1, tail[0])] + [(v, v + 1) for v in tail[:-1]]
     u = {tail[-1] + 1, tail[-1] + 2, tail[-1] + 3}
     edges += [(tail[-1], leaf) for leaf in u]
-    g = Graph.from_edges(side * side + 9, edges)
+    return Graph.from_edges(side * side + 9, edges), tail, u
+
+
+def test_tree_star_runs_no_flow(monkeypatch):
+    """On the grid with a tail, the star's legs are read off the tree
+    without a flow over the 909-vertex host."""
+    g, tail, u = _grid_with_tail()
     flows = []
     real_run_flow = graph_core._run_flow
 
@@ -548,6 +562,24 @@ def test_tree_star_runs_no_flow(monkeypatch):
     res = star_or_path(g, u, 3)
     assert res == StarWitness(tail[-1], tuple((tail[-1], leaf) for leaf in sorted(u)))
     assert flows == []
+
+
+def test_u_tree_stops_its_search_at_the_last_vertex_of_u(monkeypatch):
+    """The BFS scans only the root and the tail's end: once it has found
+    every leaf it stops, instead of walking the other 907 vertices."""
+    g, tail, u = _grid_with_tail()
+    scanned = []
+    real_neighbors = Graph.neighbors
+
+    def counting_neighbors(self, v):
+        scanned.append(v)
+        return real_neighbors(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", counting_neighbors)
+    parent, order = kconn._u_tree(g, frozenset(u))
+    assert scanned == [min(u), tail[-1]]
+    assert order == [min(u), tail[-1]] + sorted(u - {min(u)})
+    assert parent == {v: tail[-1] for v in order} | {tail[-1]: min(u), min(u): min(u)}
 
 
 def test_tree_star_legs_are_tree_paths_to_their_first_u_vertex():

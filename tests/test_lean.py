@@ -233,6 +233,20 @@ def test_negative_k_is_rejected():
     assert is_k_lean_nss(empty, 0) is True
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_non_integer_k_is_rejected(bad):
+    g = path_graph(4)
+    one_part = TreeDecomposition(Graph.from_edges(1), (g.vertex_set,))
+    empty = NestedSeparationSystem(g, frozenset())
+    for call in (
+        lambda: build_k_lean_td(g, bad),
+        lambda: is_k_lean_td(g, one_part, bad),
+        lambda: is_k_lean_nss(empty, bad),
+    ):
+        with pytest.raises(ValueError, match=f"expected an integer, got {bad!r}"):
+            call()
+
+
 def test_decomposition_tree_must_be_a_tree():
     parts = (frozenset({0, 1}), frozenset({1, 2}))
     with pytest.raises(ValueError, match="not a tree"):

@@ -14,7 +14,6 @@ from kconnkit.graph_core import (
 )
 from kconnkit.sepsys import (
     NestedSeparationSystem,
-    Orientation,
     TreeDecomposition,
     adhesion,
     clean_up,
@@ -58,7 +57,7 @@ def test_consistent_orientations_empty_system():
     g = path_graph(3)
     n = _empty_nss(g)
     orients = consistent_orientations(n)
-    assert orients == [Orientation(frozenset())]
+    assert orients == [frozenset()]
     assert part_of(n, orients[0]) == g.vertex_set
 
 
@@ -88,7 +87,7 @@ def test_improper_separation_never_oriented_towards_full_side():
     s = Separation.of({1}, {0, 1, 2})
     n = nss_from_separations(g, [s])
     for o in consistent_orientations(n):
-        assert Separation.of({0, 1, 2}, {1}) not in o.chosen
+        assert Separation.of({0, 1, 2}, {1}) not in o
         assert is_consistent(n, o)
 
 
@@ -99,7 +98,7 @@ def test_all_enumerated_orientations_are_consistent():
         n = random_nested_system(rng, g)
         for o in consistent_orientations(n):
             assert is_consistent(n, o)
-            assert len(o.chosen) == len(n.pairs)
+            assert len(o) == len(n.pairs)
 
 
 def test_orientations_come_out_sorted():
@@ -111,7 +110,7 @@ def test_orientations_come_out_sorted():
         g = random_connected_graph(rng, rng.randint(2, 8))
         n = random_nested_system(rng, g, allow_improper=i % 3 == 0)
         improper += any(g.vertex_set in (s.a, s.b) for s in n.seps)
-        keys = [tuple(sorted(s.sort_key() for s in o.chosen)) for o in consistent_orientations(n)]
+        keys = [tuple(sorted(s.sort_key() for s in o)) for o in consistent_orientations(n)]
         assert all(x < y for x, y in zip(keys, keys[1:]))
     assert improper >= 30
 
@@ -124,7 +123,7 @@ def test_td_nodes_are_adjacent_iff_their_orientations_differ_on_one_pair():
         orients = consistent_orientations(n)
         td = nss_to_td(n)
         for i, j in itertools.combinations(range(len(orients)), 2):
-            flipped = sum(orients[i].chosen & p != orients[j].chosen & p for p in n.pairs)
+            flipped = sum(orients[i] & p != orients[j] & p for p in n.pairs)
             assert td.tree.has_edge(i, j) == (flipped == 1)
 
 
@@ -417,7 +416,7 @@ P3_SEP = Separation.of({0, 1}, {1, 2})
             # (1, 012) <= (01, 12) is in the system but not chosen
             lambda: is_consistent(
                 nss_from_separations(path_graph(3), [P3_SEP, Separation.of({1}, {0, 1, 2})]),
-                Orientation(frozenset({P3_SEP, Separation.of({0, 1, 2}, {1})})),
+                frozenset({P3_SEP, Separation.of({0, 1, 2}, {1})}),
             ),
             False,
             id="inconsistent-orientation",

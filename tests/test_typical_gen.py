@@ -765,6 +765,9 @@ PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
         ),
         pytest.param(lambda: Type1Template(EDGE, {0: 0, 1: 1}, 2, 2), "c must be a tree node", id="type1-c"),
         pytest.param(
+            lambda: Type1Template(EDGE, {0: 0, 1: 1}, 0, 2.0), "expected an integer, got 2.0", id="type1-float-k"
+        ),
+        pytest.param(
             lambda: Type1Template(path_graph(3), {0: 0}, 0, 1),
             "node 1 of low degree is neither c nor attached",
             id="type1-low-degree",
