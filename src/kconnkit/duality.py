@@ -203,6 +203,7 @@ def verify_td_certificate(
     """Adhesion below k and every part separable from ``a`` by fewer than m."""
     a = check_vertices(g, a)
     check_k(k)
+    _check_int(m)
     if not isinstance(td, TreeDecomposition):
         raise ValueError(f"td must be a TreeDecomposition, got {type(td).__name__}")
     if not validate_td(g, td):

@@ -300,11 +300,10 @@ _Path = tuple[int, ...]  # a path as its vertex sequence
 
 @dataclass(frozen=True)
 class MengerResult:
-    """``count`` disjoint a-b paths as vertex tuples, and a minimum a-b
-    separator X with the cut's ``side``, both off one flow search: X plus
-    every component of g - X meeting a - X."""
+    """A maximum system of disjoint a-b paths as vertex tuples, and a minimum
+    a-b separator X of the same size with the cut's ``side``, both off one
+    flow search: X plus every component of g - X meeting a - X."""
 
-    count: int
     paths: tuple[_Path, ...]
     separator: frozenset[int]
     side: frozenset[int]
@@ -398,8 +397,8 @@ def _run_flow(
 def menger(g: Graph, a: Iterable[int], b: Iterable[int]) -> MengerResult:
     """Maximum system of pairwise vertex-disjoint a-b paths.
 
-    Returns the count, a witnessing path system, and a minimum a-b separator
-    of the same size with its side, both read off one flow's last search
+    Returns the path system, and a minimum a-b separator of the same size
+    with its side, both read off one flow's last search
     (see :func:`_min_cut`).  A vertex of ``a & b`` counts as a trivial path
     and is forced into every separator.
     """
@@ -408,7 +407,7 @@ def menger(g: Graph, a: Iterable[int], b: Iterable[int]) -> MengerResult:
     separator, side = _min_cut(g, fa, fb)
     if len(separator) != len(paths):
         raise AssertionError("mincut size does not match maxflow")
-    return MengerResult(len(paths), paths, separator, side)
+    return MengerResult(paths, separator, side)
 
 
 def _disjoint_paths(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> tuple[_Path, ...]:
@@ -461,11 +460,12 @@ def _menger_count_cached(g: Graph, fa: frozenset[int], fb: frozenset[int]) -> in
 def validate_path_system(
     g: Graph, ps: Sequence[Sequence[int]], a: Iterable[int], b: Iterable[int]
 ) -> bool:
-    """Check that ``ps`` is a system of pairwise disjoint a-b paths in ``g``."""
+    """Check that ``ps`` is a system of pairwise disjoint a-b paths in ``g``:
+    every path is non-empty and every vertex on it a plain ``int`` of ``g``."""
     fa, fb = frozenset(a), frozenset(b)
     seen: set[int] = set()
     for p in ps:
-        if not p:
+        if not p or any(type(v) is not int or not 0 <= v < g.n for v in p):
             return False
         if p[0] not in fa or p[-1] not in fb:
             return False

@@ -71,29 +71,30 @@ def is_k_connected(g: Graph, a: Iterable[int], k: int) -> KConnVerdict:
     failed = first_failed_pair(g, fa, fa, k)
     if failed is None:
         return KConnVerdict(True)
-    z1, z2, _ = failed
+    z1, z2 = failed
     return KConnVerdict(False, KConnWitness(z1, z2, _min_cut(g, z1, z2)[0]))
 
 
 def first_failed_pair(
     g: Graph, p1: frozenset[int], p2: frozenset[int], top: int
-) -> tuple[frozenset[int], frozenset[int], int] | None:
-    """The first ``(z1, z2, paths)`` with ``z1 <= p1``, ``z2 <= p2``, ``z1 !=
-    z2``, ``len(z1) == len(z2) = l <= top`` and only ``paths < l`` disjoint
-    z1-z2 paths, or ``None``.  When ``p1 == p2`` only pairs with ``z1 < z2``
-    are scanned.  Every vertex must lie in ``g``.
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The first ``(z1, z2)`` with ``z1 <= p1``, ``z2 <= p2``, ``z1 != z2``,
+    ``len(z1) == len(z2) = l <= top`` and fewer than l disjoint z1-z2 paths,
+    or ``None``.  A failing pair has exactly ``l - 1`` such paths.  When ``p1
+    == p2`` only pairs with ``z1 < z2`` are scanned.  Every vertex must lie in
+    ``g``.
 
     No flow runs.  The smallest violating order s leaves only the pairs of
     size ``s + 1``, and a pair fails iff some X of at most s vertices
     separates it.  Such an X is a violating separator, so ``len(X) == s`` by
-    minimality and ``paths == s``.  If ``z1 & z2`` has s vertices it is X,
-    and one reachability test decides the pair (route a); otherwise the pair
-    fails iff some violating separator of order s leaves no component meeting
-    both ``z1 - S`` and ``z2 - S`` (route b), the rest of that level being
-    enumerated only while no separator found so far splits the pair.  A level
-    is enumerated T-then-U (see :func:`_violating_separators`), which cannot
-    change the witness: each pair, in its fixed order, asks only whether some
-    separator of level s splits it.
+    minimality and the pair has s paths.  If ``z1 & z2`` has s vertices it
+    is X, and one reachability test decides the pair (route a); otherwise the
+    pair fails iff some violating separator of order s leaves no component
+    meeting both ``z1 - S`` and ``z2 - S`` (route b), the rest of that level
+    being enumerated only while no separator found so far splits the pair.  A
+    level is enumerated T-then-U (see :func:`_violating_separators`), which
+    cannot change the witness: each pair, in its fixed order, asks only
+    whether some separator of level s splits it.
     """
     top = min(top, len(p1), len(p2))
     level = _smallest_violating_order(g, p1, p2, top)
@@ -110,9 +111,9 @@ def _first_split_pair(
     s: int,
     first: _Separator,
     level: Iterator[_Separator],
-) -> tuple[frozenset[int], frozenset[int], int]:
+) -> tuple[frozenset[int], frozenset[int]]:
     """The first pair of size ``s + 1`` that a separator of order s splits,
-    in the order of :func:`first_failed_pair`."""
+    in the order of :func:`first_failed_pair`; it has s disjoint paths."""
     same = p1 == p2
     masks = g.adjacency_masks
     full = (1 << g.n) - 1
@@ -145,7 +146,7 @@ def _first_split_pair(
                     continue
             elif not separated(m1, m2):  # route b
                 continue
-            return frozenset(_bits(m1)), frozenset(_bits(m2)), s
+            return frozenset(_bits(m1)), frozenset(_bits(m2))
     raise AssertionError("violating separation but no failing pair")
 
 

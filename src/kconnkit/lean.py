@@ -36,14 +36,13 @@ from .sepsys import tree_edge_sides
 
 @dataclass(frozen=True)
 class LeanViolation:
-    """A failed demand: fewer than ``len(z1)`` disjoint paths and no small
-    inducing separation between the holding parts (t1, t2)."""
+    """A failed demand: exactly ``len(z1) - 1`` disjoint z1-z2 paths and no
+    small inducing separation between the holding parts (t1, t2)."""
 
     t1: int
     t2: int
     z1: frozenset[int]
     z2: frozenset[int]
-    max_paths: int
 
     def __bool__(self) -> bool:
         return False

@@ -23,7 +23,7 @@ the copies of one pattern node: ``c`` of a tree template, ``v1`` of a path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Hashable, Iterable, Mapping
 
 from .graph_core import Graph, _check_int, check_k, check_vertices, complete_bipartite_graph
@@ -213,7 +213,7 @@ class RegularBlueprint:
 
     def __post_init__(self) -> None:
         _check_blueprint_pair(self.b, self.d)
-        if self.c in self.d or not 0 <= self.c < self.b.n:
+        if _check_int(self.c) in self.d or not 0 <= self.c < self.b.n:
             raise ValueError("c must be a tree node outside d")
 
     @property
@@ -228,7 +228,7 @@ class GoodSequence:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(s < 1 for s in self.sizes):
+        if any(_check_int(s) < 1 for s in self.sizes):
             raise ValueError("sizes must be positive")
         if any(x >= y for x, y in zip(self.sizes, self.sizes[1:])):
             raise ValueError("sizes must be strictly ascending")
@@ -244,7 +244,8 @@ class SingularBlueprint:
     """(ell, f, tree, leaf set, slot map) controlling the glued family.
 
     ``sigma`` sends each index in [ell+f, k) to a (tree node, parity) slot;
-    it must be injective with nodes outside d.
+    it must be injective with nodes outside d.  The family's dimension is
+    ``k = ell + f + |V(b)|``.
     """
 
     ell: int
@@ -254,19 +255,19 @@ class SingularBlueprint:
     sigma: Mapping[int, tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.ell < 0 or self.f < 0:
+        if _check_int(self.ell) < 0 or _check_int(self.f) < 0:
             raise ValueError("ell and f must be non-negative")
         _check_blueprint_pair(self.b, self.d)
         if 2 * len(self.d) > self.b.n:
             raise ValueError("d may cover at most half of the tree nodes")
         expect = set(range(self.ell + self.f, self.k))
-        if set(self.sigma) != expect:
+        if set(map(_check_int, self.sigma)) != expect:
             raise ValueError(f"sigma must be defined exactly on {sorted(expect)}")
         seen = set()
         for i, (node, parity) in self.sigma.items():
-            if node in self.d or not 0 <= node < self.b.n:
+            if _check_int(node) in self.d or not 0 <= node < self.b.n:
                 raise ValueError("sigma nodes must avoid d")
-            if parity not in (0, 1):
+            if _check_int(parity) not in (0, 1):
                 raise ValueError("sigma parity must be 0 or 1")
             if (node, parity) in seen:
                 raise ValueError("sigma must be injective")
@@ -283,7 +284,7 @@ class SingularBlueprint:
 
 def gen_complete_bipartite(k: int, m: int) -> CoreMarkedGraph:
     """K(k-set, m-set) with the m-side as core, in index order."""
-    if k < 0 or m < 1:
+    if _check_int(k) < 0 or _check_int(m) < 1:
         raise ValueError("need k >= 0 and m >= 1")
     roles = tuple(Role("finite_side", node=i) for i in range(k)) + (Role("core"),) * m
     return CoreMarkedGraph(complete_bipartite_graph(k, m), tuple(range(k, k + m)), roles)
@@ -294,7 +295,7 @@ def gen_layer_product(b: Graph, d: Iterable[int], layers: int) -> CoreMarkedGrap
     dominating vertices.  Carries no core of its own."""
     fd = frozenset(d)
     _check_blueprint_pair(b, fd)
-    if layers < 1:
+    if _check_int(layers) < 1:
         raise ValueError("layers must be at least 1")
     bld = _Builder()
     _emit_layer_product(bld, b, fd, layers)
@@ -324,7 +325,7 @@ def _emit_layer_product(bld: _Builder, b: Graph, fd: frozenset[int], layers: int
 def gen_regular_typical(bp: RegularBlueprint, layers: int) -> CoreMarkedGraph:
     """Layer product of the blueprint with the c-column designated as core."""
     fd = bp.d
-    if layers < 1:
+    if _check_int(layers) < 1:
         raise ValueError("layers must be at least 1")
     bld = _Builder()
     _emit_layer_product(bld, bp.b, fd, layers)
@@ -338,7 +339,7 @@ def gen_regular_typical(bp: RegularBlueprint, layers: int) -> CoreMarkedGraph:
 def gen_degenerate_frayed(k: int, ell: int, seq: GoodSequence) -> CoreMarkedGraph:
     """Disjoint complete bipartite blocks; the first ell finite-side slots
     are identified across blocks, the rest are joined by star centres."""
-    if not 0 <= ell <= k:
+    if not 0 <= _check_int(ell) <= _check_int(k):
         raise ValueError("need 0 <= ell <= k")
     bld = _Builder()
     return bld.freeze(_emit_frayed_blocks(bld, ell, k, seq))
@@ -370,26 +371,21 @@ def _emit_frayed_blocks(
     return core
 
 
-def gen_singular_typical(
-    sbp: SingularBlueprint, seq: GoodSequence, k: int
-) -> CoreMarkedGraph:
-    """Frayed blocks glued onto a layer product through the sigma slots.
+def gen_singular_typical(sbp: SingularBlueprint, seq: GoodSequence) -> CoreMarkedGraph:
+    """Frayed blocks glued onto a layer product through the sigma slots, in
+    dimension ``sbp.k``.
 
     The slot for index i in block alpha is the layer-product vertex of tree
     node sigma(i)[0] at layer 2*alpha + sigma(i)[1] + |V(b)|; the remaining
     frayed centres cover only the indices in [ell, ell+f).
     """
-    if sbp.k != k:
-        raise ValueError(
-            f"blueprint describes k={sbp.k}, requested k={k} (inconsistent dimensions)"
-        )
     ell, f, b, fd = sbp.ell, sbp.f, sbp.b, sbp.d
     layers = 2 * len(seq) + b.n
     bld = _Builder()
     core = _emit_frayed_blocks(bld, ell, ell + f, seq)
     _emit_layer_product(bld, b, fd, layers)
     for alpha in range(len(seq)):
-        for i in range(ell + f, k):
+        for i in range(ell + f, sbp.k):
             node, parity = sbp.sigma[i]
             target = ("L", node, 2 * alpha + parity + b.n)
             for j in range(seq.sizes[alpha]):
@@ -400,7 +396,7 @@ def gen_singular_typical(
 def two_bipartite_matched(m: int) -> CoreMarkedGraph:
     """Two complete bipartite graphs on two centres each, with a perfect
     matching between the m-sides; the first copy's m-side is the core."""
-    if m < 1:
+    if _check_int(m) < 1:
         raise ValueError("m must be at least 1")
     kb = complete_bipartite_graph(2, m).edges
     shifted = [(u + m + 2, w + m + 2) for u, w in kb]
@@ -491,14 +487,15 @@ class Type1Template:
 @dataclass(frozen=True)
 class PathBlowup:
     """Path with marked nodes v0 - vbot ... vtop - v1 and attachments in
-    the middle segment."""
+    the middle segment.  ``v1`` is not given: it is the path's other end,
+    found by walking the path from the endnode ``v0``."""
 
     path: Graph
     v0: int
     vbot: int
     vtop: int
-    v1: int
     gamma: Mapping[int, int]
+    v1: int = field(init=False)
 
     def __post_init__(self) -> None:
         p = self.path
@@ -509,8 +506,7 @@ class PathBlowup:
         seq = [self.v0]
         while len(seq) < p.n:  # walk the path from v0
             seq.extend(p.neighbors(seq[-1]) - set(seq[-2:]))
-        if seq[-1] != self.v1:
-            raise ValueError("v1 must be the other endnode")
+        object.__setattr__(self, "v1", seq[-1])
         pos = {node: i for i, node in enumerate(seq)}
         for node in (self.vbot, self.vtop, *self.gamma.values()):
             if node not in pos:
@@ -532,26 +528,20 @@ class PathBlowup:
 
 @dataclass(frozen=True)
 class Type2Template:
-    """One path blow-up per non-contracted blueprint node."""
+    """One path blow-up per non-contracted blueprint node.  Its arity is the
+    order of the blueprint tree b, so each path has at most |V(b)| + 2 edges."""
 
     entries: Mapping[int, PathBlowup]
-    k: int
 
     def validate_for(self, b: Graph, d: frozenset[int]) -> None:
         live = {v for v in b.vertices if v not in d}
         if set(self.entries) != live:
             raise ValueError("one entry per non-d blueprint node required")
         for node, pb in self.entries.items():
-            if pb.length > self.k + 2:
+            if pb.length > b.n + 2:
                 raise ValueError("blow-up path too long")
             if set(pb.gamma) != set(b.neighbors(node)):
                 raise ValueError(f"gamma of node {node} must cover its blueprint neighbours")
-
-
-@dataclass(frozen=True)
-class Type3Template:
-    t1: Type1Template
-    t2: Type2Template
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +609,6 @@ def gen_generalised_regular(
 ) -> CoreMarkedGraph:
     """Blow every product vertex into its path; the core moves to the v1
     copies of the c-column."""
-    if t2.k != bp.k:
-        raise ValueError("template arity does not match the blueprint order")
     t2.validate_for(bp.b, bp.d)
     parent = gen_regular_typical(bp, layers)
     patterns = {v: t2.entries[r.node] for v, r in enumerate(parent.roles) if r.kind != "dominating"}
@@ -628,22 +616,21 @@ def gen_generalised_regular(
 
 
 def gen_generalised_singular(
-    sbp: SingularBlueprint, seq: GoodSequence, k: int, t3: Type3Template
+    sbp: SingularBlueprint, seq: GoodSequence, t1: Type1Template, t2: Type2Template
 ) -> CoreMarkedGraph:
-    """Blow up both the core blocks (tree template) and the layer product
-    (path templates) of the glued family."""
-    if t3.t1.k != sbp.ell + sbp.f:
+    """Blow up both the core blocks (tree template ``t1``, of arity ell + f)
+    and the layer product (path templates ``t2``, of the blueprint's arity)
+    of the glued family."""
+    if t1.k != sbp.ell + sbp.f:
         raise ValueError("tree template arity must be ell + f")
-    if t3.t2.k != k - sbp.ell - sbp.f:
-        raise ValueError("path template arity must be k - ell - f")
-    t3.t2.validate_for(sbp.b, sbp.d)
-    parent = gen_singular_typical(sbp, seq, k)
+    t2.validate_for(sbp.b, sbp.d)
+    parent = gen_singular_typical(sbp, seq)
     patterns = {
-        v: t3.t1 if r.kind == "core" else t3.t2.entries[r.node]
+        v: t1 if r.kind == "core" else t2.entries[r.node]
         for v, r in enumerate(parent.roles)
         if r.kind in ("core", "layer")
     }
-    return _generalise(parent, patterns, t3.t1.c)
+    return _generalise(parent, patterns, t1.c)
 
 
 _GENERALISED = {

@@ -261,9 +261,8 @@ def pair_scan_first_violation(g: Graph, parts, k: int, cut_order):
                         if z1 == z2 or (i == j and z2 < z1):
                             continue
                         fz1, fz2 = frozenset(z1), frozenset(z2)
-                        got = menger_count(g, fz1, fz2)
-                        if got < ell:
-                            return LeanViolation(i, j, fz1, fz2, got)
+                        if menger_count(g, fz1, fz2) < ell:
+                            return LeanViolation(i, j, fz1, fz2)
     return None
 
 

@@ -293,6 +293,7 @@ def test_sec1_bounds_seeded_sample():
 
 
 P3_TWO_PARTS = TreeDecomposition(Graph.from_edges(2, [(0, 1)]), (frozenset({0, 1}), frozenset({1, 2})))
+P3_ONE_PART = TreeDecomposition(Graph.from_edges(1), (frozenset({0, 1, 2}),))
 
 
 @pytest.mark.parametrize(
@@ -308,6 +309,16 @@ P3_TWO_PARTS = TreeDecomposition(Graph.from_edges(2, [(0, 1)]), (frozenset({0, 1
             lambda: verify_td_certificate(path_graph(3), frozenset({0, 2}), 2, 3, P3_TWO_PARTS),
             True,
             id="certificate-holds",
+        ),
+        pytest.param(
+            lambda: verify_td_certificate(path_graph(3), frozenset({0, 2}), 2, True, P3_TWO_PARTS),
+            "expected an integer, got True",
+            id="bool-m-certificate",
+        ),
+        pytest.param(
+            lambda: verify_td_certificate(path_graph(3), frozenset(), 1, 2.5, P3_ONE_PART),
+            "expected an integer, got 2.5",
+            id="float-m-certificate",
         ),
         pytest.param(
             lambda: k_tree_width(path_graph(4), 2.0), "expected an integer, got 2.0", id="float-k"

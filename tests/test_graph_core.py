@@ -84,14 +84,14 @@ def test_vertex_arguments_outside_the_graph_are_rejected():
 def test_menger_complete_bipartite_sides():
     g = complete_bipartite_graph(3, 3)
     res = menger(g, {0, 1, 2}, {3, 4, 5})
-    assert res.count == 3
+    assert len(res.paths) == 3
     assert validate_path_system(g, res.paths, {0, 1, 2}, {3, 4, 5})
 
 
 def test_menger_path_cut_vertex():
     g = path_graph(3)
     res = menger(g, {0}, {2})
-    assert res.count == 1
+    assert len(res.paths) == 1
     assert res.separator == frozenset({1})
     assert res.paths == ((0, 1, 2),)
 
@@ -100,7 +100,7 @@ def test_menger_trivial_paths_in_intersection():
     # every 0-2 path passes 1, so the trivial path at 1 is the only one
     g = path_graph(3)
     res = menger(g, {0, 1}, {1, 2})
-    assert res.count == 1
+    assert len(res.paths) == 1
     assert res.separator == frozenset({1})
     assert res.paths == ((1,),)
     assert validate_path_system(g, res.paths, {0, 1}, {1, 2})
@@ -108,8 +108,8 @@ def test_menger_trivial_paths_in_intersection():
 
 def test_menger_empty_sides():
     g = path_graph(3)
-    assert menger(g, set(), {0}).count == 0
-    assert menger(g, set(), set()).count == 0
+    assert menger(g, set(), {0}).paths == ()
+    assert menger(g, set(), set()).paths == ()
 
 
 def test_flow_rejects_out_of_range_vertices():
@@ -130,8 +130,8 @@ def test_menger_matches_brute_force_on_seeded_instances():
         a = frozenset(v for v in g.vertices if rng.random() < 0.4)
         b = frozenset(v for v in g.vertices if rng.random() < 0.4)
         res = menger(g, a, b)
-        assert res.count == brute_max_disjoint_paths(g, a, b)
-        assert res.count == len(res.separator) == len(res.paths)
+        assert len(res.paths) == brute_max_disjoint_paths(g, a, b)
+        assert len(res.paths) == len(res.separator)
         assert validate_path_system(g, res.paths, a, b)
         assert brute_is_separator(g, res.separator, a, b)
         assert a & b <= res.separator
@@ -178,7 +178,7 @@ def test_min_separator_size_matches_menger_on_seeded_instances():
         g = random_graph(rng, 8)
         a = frozenset(v for v in g.vertices if rng.random() < 0.4)
         b = frozenset(v for v in g.vertices if rng.random() < 0.4)
-        assert min_separator_size(g, a, b) == menger(g, a, b).count
+        assert min_separator_size(g, a, b) == len(menger(g, a, b).paths)
 
 
 def test_menger_separator_matches_the_brute_force_rule():
@@ -196,7 +196,7 @@ def test_menger_separator_matches_the_brute_force_rule():
             assert res.separator == brute_menger_separator(g, a, b), (g, a, b)
             minimum = [
                 s
-                for s in itertools.combinations(g.vertices, res.count)
+                for s in itertools.combinations(g.vertices, len(res.paths))
                 if brute_is_separator(g, frozenset(s), a, b)
             ]
             cases += 1
@@ -208,7 +208,7 @@ def test_menger_separator_matches_the_brute_force_rule():
 def test_menger_side_is_the_separator_plus_the_components_meeting_a():
     """menger's side, read off its weighted flow, is X plus every vertex
     that a plain BFS reaches from a - X in g - X, and it is the a-side of a
-    separation of order ``count`` with b on the other side."""
+    separation of order ``len(paths)`` with b on the other side."""
     rng = random.Random(1902)
     cases = 0
     for g in connected_graphs(6):
@@ -227,7 +227,7 @@ def test_menger_side_is_the_separator_plus_the_components_meeting_a():
             assert res.side == x | reached, (g, a, b)
             assert a <= res.side
             sep = Separation(res.side, (g.vertex_set - res.side) | x)
-            assert is_separation(g, sep) and sep.order == res.count and b <= sep.b
+            assert is_separation(g, sep) and sep.order == len(res.paths) and b <= sep.b
             cases += 1
     assert cases == 572
 
@@ -247,7 +247,7 @@ def graphs_and_sets(draw):
 def test_menger_duality_property(data):
     g, a, b = data
     res = menger(g, a, b)
-    assert res.count == min_separator_size(g, a, b)
+    assert len(res.paths) == min_separator_size(g, a, b)
     assert validate_path_system(g, res.paths, a, b)
     assert brute_is_separator(g, res.separator, a, b)
 
@@ -269,7 +269,7 @@ def test_each_menger_path_hits_every_separator():
 
 def test_menger_count_cached_matches_full():
     g = complete_bipartite_graph(2, 5)
-    assert menger_count(g, {2, 3, 4}, {5, 6}) == menger(g, {2, 3, 4}, {5, 6}).count
+    assert menger_count(g, {2, 3, 4}, {5, 6}) == len(menger(g, {2, 3, 4}, {5, 6}).paths)
 
 
 def test_graph_json_round_trip():
@@ -340,6 +340,11 @@ P4 = path_graph(4)
             False,
             id="shared-vertex",
         ),
+        # a one-vertex path has no edge to check, so its vertex is checked on its own
+        pytest.param(
+            lambda: validate_path_system(path_graph(3), [[99]], {99}, {99}), False, id="vertex-outside-graph"
+        ),
+        pytest.param(lambda: validate_path_system(path_graph(3), [(True,)], {1}, {1}), False, id="bool-vertex"),
     ],
 )
 def test_graph_core_rejections(call, expected):

@@ -10,6 +10,7 @@ shim the tracer no longer wraps is flagged.
 """
 
 import ast
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -21,38 +22,48 @@ MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def imports(source: str) -> list[tuple[int, str, bool]]:
-    """(line, bound name, marked ``# noqa: F401``) of every import."""
+@functools.cache
+def _scan(source: str) -> tuple[tuple[tuple[int, str, bool], ...], frozenset[str]]:
+    """(line, bound name, marked ``# noqa: F401``) of every import, and every
+    name that occurs; one parse per source text."""
     lines = source.splitlines()
-    out = []
+    found, used = [], set()
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 noqa = "# noqa: F401" in lines[alias.lineno - 1]
-                out.append((alias.lineno, alias.asname or alias.name.split(".")[0], noqa))
-    return out
+                found.append((alias.lineno, alias.asname or alias.name.split(".")[0], noqa))
+    return tuple(found), frozenset(used)
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
     """(line, name) of every imported name the module never uses."""
-    used = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
-    return [(line, name) for line, name, noqa in imports(source) if not noqa and name not in used]
+    found, used = _scan(source)
+    return [(line, name) for line, name, noqa in found if not noqa and name not in used]
 
 
 def stale_exemptions(source: str, wrapped: set[str]) -> list[tuple[int, str]]:
     """(line, name) of every ``# noqa: F401`` import outside ``wrapped``."""
-    return [(line, name) for line, name, noqa in imports(source) if noqa and name not in wrapped]
+    return [(line, name) for line, name, noqa in _scan(source)[0] if noqa and name not in wrapped]
+
+
+@functools.cache
+def _tracer_targets() -> tuple[tuple[str, str], ...]:
+    """(module name, attribute) of every target of the benchmark's tracer,
+    loaded once."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tuple((owner.__name__, attr) for owner, attr, _ in tracing._LAYER_TARGETS)
 
 
 def wrapped_names(module: str) -> set[str]:
     """The attributes of ``kconnkit.<module>`` the benchmark's tracer wraps."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    targets = tracing._LAYER_TARGETS
-    return {attr for owner, attr, _ in targets if owner.__name__ == f"kconnkit.{module}"}
+    return {attr for owner, attr in _tracer_targets() if owner == f"kconnkit.{module}"}
 
 
 def test_unused_imports_are_found():

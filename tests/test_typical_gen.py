@@ -18,7 +18,6 @@ from kconnkit.typical_gen import (
     SingularBlueprint,
     Type1Template,
     Type2Template,
-    Type3Template,
     _ROLE_KINDS,
     apply_blowups,
     gen_complete_bipartite,
@@ -57,8 +56,8 @@ def simple_type2(bp: RegularBlueprint) -> Type2Template:
             continue
         path = Graph.from_edges(2, [(0, 1)])
         gamma = {u: 0 for u in bp.b.neighbors(node)}
-        entries[node] = PathBlowup(path, 0, 0, 1, 1, gamma)
-    return Type2Template(entries, bp.k)
+        entries[node] = PathBlowup(path, 0, 0, 1, gamma)
+    return Type2Template(entries)
 
 
 def nonsimple_type2(b: Graph, d: frozenset[int]) -> Type2Template:
@@ -68,8 +67,8 @@ def nonsimple_type2(b: Graph, d: frozenset[int]) -> Type2Template:
     for node in b.vertices:
         if node not in d:
             gamma = {u: 1 + u % 2 for u in b.neighbors(node)}
-            entries[node] = PathBlowup(path_graph(4), 0, 1, 2, 3, gamma)
-    return Type2Template(entries, b.n)
+            entries[node] = PathBlowup(path_graph(4), 0, 1, 2, gamma)
+    return Type2Template(entries)
 
 
 def copies_of(gen: CoreMarkedGraph, v: int) -> list[int]:
@@ -213,7 +212,7 @@ def test_degenerate_frayed_interior_core():
 
 
 def test_singular_typical_fig4_shape():
-    cmg = gen_singular_typical(FIG4_SBP, SEQ234, 7)
+    cmg = gen_singular_typical(FIG4_SBP, SEQ234)
     assert len(cmg.with_kind("degenerate")) == 1
     assert len(cmg.with_kind("frayed_centre")) == 2
     assert len(cmg.core) == 9
@@ -222,7 +221,7 @@ def test_singular_typical_fig4_shape():
 
 def test_singular_typical_identification_layer():
     # a slot with parity 1 glues block 0 at layer |V(b)| + 1
-    cmg = gen_singular_typical(FIG4_SBP, SEQ234, 7)
+    cmg = gen_singular_typical(FIG4_SBP, SEQ234)
     g = cmg.graph
     z0 = cmg.core[0]
     glue_layers = sorted(
@@ -242,7 +241,7 @@ def test_singular_typical_identification_layer():
 
 def test_singular_typical_minimal_case():
     sbp = SingularBlueprint(0, 0, Graph.from_edges(1), frozenset(), {0: (0, 0)})
-    cmg = gen_singular_typical(sbp, GoodSequence((3,)), 1)
+    cmg = gen_singular_typical(sbp, GoodSequence((3,)))
     # one block K(1, 3) glued onto a path
     assert len(cmg.core) == 3
     assert cmg.with_kind("frayed_centre") == []
@@ -250,8 +249,11 @@ def test_singular_typical_minimal_case():
 
 
 def test_singular_typical_dimension_check():
-    with pytest.raises(ValueError):
-        gen_singular_typical(FIG4_SBP, SEQ234, 6)
+    # the dimension is the blueprint's: each core vertex sees ell degenerate
+    # vertices, f frayed slots and k - ell - f glued layer vertices
+    cmg = gen_singular_typical(FIG4_SBP, SEQ234)
+    assert FIG4_SBP.k == 7
+    assert {cmg.graph.degree(z) for z in cmg.core} == {7}
 
 
 def test_two_bipartite_matched_counts():
@@ -310,7 +312,7 @@ def test_type1_template_rejects_gamma_outside_the_tree():
 
 def test_path_blowup_rejects_nodes_off_the_path():
     path = path_graph(3)
-    for args in ((0, 7, 2, 2, {}), (0, 0, 7, 2, {}), (0, 0, 2, 2, {5: 7})):
+    for args in ((0, 7, 2, {}), (0, 0, 7, {}), (0, 0, 2, {5: 7})):
         with pytest.raises(ValueError, match="node 7 is not on the path"):
             PathBlowup(path, *args)
 
@@ -323,44 +325,45 @@ def _path_blowup_outcome(*args) -> object:
 def test_path_blowup_reads_the_same_from_either_end():
     """With v0 at the larger-id end the path is read from that end: every
     blow-up is accepted or rejected, with the same message, as its mirror
-    image with v0 at the smaller end."""
+    image with v0 at the smaller end, and its v1 is the other end."""
     for n in range(1, 6):
         path = path_graph(n)
-        for v0, vbot, vtop, v1, node in itertools.product(range(n), repeat=5):
+        for v0, vbot, vtop, node in itertools.product(range(n), repeat=4):
             for gamma in ({}, {0: node}):
-                mirror = [n - 1 - x for x in (v0, vbot, vtop, v1)]
+                mirror = [n - 1 - x for x in (v0, vbot, vtop)]
                 mirror_gamma = {i: n - 1 - x for i, x in gamma.items()}
-                assert _path_blowup_outcome(path, v0, vbot, vtop, v1, gamma) == (
-                    _path_blowup_outcome(path, *mirror, mirror_gamma)
-                )
+                got = _path_blowup_outcome(path, v0, vbot, vtop, gamma)
+                assert got == _path_blowup_outcome(path, *mirror, mirror_gamma)
+                if got == "ok":
+                    assert PathBlowup(path, v0, vbot, vtop, gamma).v1 == n - 1 - v0
 
 
 @pytest.mark.parametrize(
     "path, args, outcome",
     [
         # the path 2 - 0 - 3 - 1, with v0 = 2 at its larger-id end
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 2, 1, 1, {5: 0}), "ok"),
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 0, 3, 1, {5: 0, 6: 3}), "ok"),
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (0, 0, 3, 1, {}), "v0 must be an endnode"),
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 0, 3, 3, {}), "v1 must be the other endnode"),
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 2, 1, 1, {5: 9}), "node 9 is not on the path"),
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 2, 1, {5: 0}), "ok"),
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 0, 3, {5: 0, 6: 3}), "ok"),
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (0, 0, 3, {}), "v0 must be an endnode"),
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (7, 7, 1, {}), "v0 must be an endnode"),
+        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 2, 1, {5: 9}), "node 9 is not on the path"),
         (
             Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]),
-            (2, 3, 1, 1, {}),
+            (2, 3, 1, {}),
             "vbot must equal v0 or be adjacent to it",
         ),
         (
             Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]),
-            (2, 2, 0, 1, {}),
+            (2, 2, 0, {}),
             "vtop must equal v1 or be adjacent to it",
         ),
         (
             Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]),
-            (2, 0, 3, 1, {5: 2}),
+            (2, 0, 3, {5: 2}),
             "attachments must land between vbot and vtop",
         ),
-        (Graph.from_edges(2, [(0, 1)]), (1, 0, 1, 0, {}), "vbot must not pass vtop"),
-        (Graph.from_edges(2, [(0, 1)]), (1, 1, 0, 0, {5: 0}), "ok"),
+        (Graph.from_edges(2, [(0, 1)]), (1, 0, 1, {}), "vbot must not pass vtop"),
+        (Graph.from_edges(2, [(0, 1)]), (1, 1, 0, {5: 0}), "ok"),
     ],
 )
 def test_path_blowup_with_v0_at_the_larger_end(path, args, outcome):
@@ -459,8 +462,8 @@ def test_generalised_regular_attachments_on_a_nonsimple_template():
 
 def test_generalised_singular_attachments_on_a_nonsimple_template():
     t1 = Type1Template(path_graph(3), {0: 0, 1: 2, 2: 2}, 1, 3)
-    t3 = Type3Template(t1, nonsimple_type2(FIG4_SBP.b, FIG4_SBP.d))
-    gen = gen_generalised_singular(FIG4_SBP, GoodSequence((2, 3)), 7, t3)
+    t2 = nonsimple_type2(FIG4_SBP.b, FIG4_SBP.d)
+    gen = gen_generalised_singular(FIG4_SBP, GoodSequence((2, 3)), t1, t2)
     parent = gen.parent
     parities = []
     for z in parent.core:
@@ -481,8 +484,8 @@ def test_generalised_singular_attachments_on_a_nonsimple_template():
 
 
 def test_generalised_singular_builds_and_connects():
-    t3 = Type3Template(edge_template(3), simple_type2(RegularBlueprint(path_graph(4), frozenset({3}), 0)))
-    gen = gen_generalised_singular(FIG4_SBP, GoodSequence((2, 3)), 7, t3)
+    t2 = simple_type2(RegularBlueprint(path_graph(4), frozenset({3}), 0))
+    gen = gen_generalised_singular(FIG4_SBP, GoodSequence((2, 3)), edge_template(3), t2)
     assert gen.parent is not None
     assert len(gen.core) == 5
     assert gen.graph.is_connected()
@@ -691,13 +694,30 @@ PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
             "c must be a tree node outside d",
             id="blueprint-c-off-tree",
         ),
+        pytest.param(
+            lambda: RegularBlueprint(FIG2_BP.b, FIG2_BP.d, True),
+            "expected an integer, got True",
+            id="blueprint-bool-c",
+        ),
         pytest.param(lambda: GoodSequence((0, 1)), "sizes must be positive", id="sequence-positive"),
         pytest.param(lambda: GoodSequence((2, 2)), "sizes must be strictly ascending", id="sequence-ascending"),
         pytest.param(lambda: GoodSequence(()), "sequence must be non-empty", id="sequence-empty"),
+        pytest.param(lambda: GoodSequence((True, 2)), "expected an integer, got True", id="sequence-bool"),
+        pytest.param(lambda: GoodSequence((1.5, 2)), "expected an integer, got 1.5", id="sequence-float"),
         pytest.param(
             lambda: SingularBlueprint(-1, 0, EDGE, frozenset(), {}),
             "ell and f must be non-negative",
             id="singular-ell",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(True, 0, EDGE, frozenset(), {1: (0, 0), 2: (1, 0)}),
+            "expected an integer, got True",
+            id="singular-bool-ell",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 1.0, EDGE, frozenset(), {1: (0, 0), 2: (1, 0)}),
+            "expected an integer, got 1.0",
+            id="singular-float-f",
         ),
         pytest.param(
             lambda: SingularBlueprint(0, 0, path_graph(3), frozenset({0, 2}), {}),
@@ -729,19 +749,51 @@ PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
             "sigma must be injective",
             id="singular-sigma-injective",
         ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 0, EDGE, frozenset(), {0: (0, 0), 1: (1, True)}),
+            "expected an integer, got True",
+            id="singular-sigma-bool-parity",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 0, EDGE, frozenset(), {0: (0, 0), 1: (1.0, 1)}),
+            "expected an integer, got 1.0",
+            id="singular-sigma-float-node",
+        ),
+        pytest.param(
+            lambda: SingularBlueprint(0, 0, EDGE, frozenset(), {0: (0, 0), 1.0: (1, 1)}),
+            "expected an integer, got 1.0",
+            id="singular-sigma-float-index",
+        ),
         pytest.param(lambda: gen_complete_bipartite(-1, 2), "need k >= 0 and m >= 1", id="bipartite-k"),
         pytest.param(lambda: gen_complete_bipartite(1, 0), "need k >= 0 and m >= 1", id="bipartite-m"),
+        # a bool size used to answer as if it were 1, and a float raised TypeError
+        pytest.param(
+            lambda: gen_complete_bipartite(True, 3), "expected an integer, got True", id="bipartite-bool-k"
+        ),
+        pytest.param(
+            lambda: gen_complete_bipartite(2, 1.5), "expected an integer, got 1.5", id="bipartite-float-m"
+        ),
         pytest.param(
             lambda: gen_layer_product(path_graph(3), {0}, 0), "layers must be at least 1", id="product-layers"
         ),
+        pytest.param(
+            lambda: gen_layer_product(FIG2_BP.b, FIG2_BP.d, True),
+            "expected an integer, got True",
+            id="product-bool-layers",
+        ),
         pytest.param(lambda: gen_regular_typical(FIG2_BP, 0), "layers must be at least 1", id="regular-layers"),
+        pytest.param(
+            lambda: gen_regular_typical(FIG2_BP, 2.0), "expected an integer, got 2.0", id="regular-float-layers"
+        ),
         pytest.param(lambda: gen_degenerate_frayed(2, 3, SEQ234), "need 0 <= ell <= k", id="frayed-ell"),
         pytest.param(
-            lambda: gen_singular_typical(FIG4_SBP, SEQ234, 6),
-            "blueprint describes k=7, requested k=6 (inconsistent dimensions)",
-            id="singular-k",
+            lambda: gen_degenerate_frayed(True, 0, SEQ234), "expected an integer, got True", id="frayed-bool-k"
+        ),
+        pytest.param(
+            lambda: gen_degenerate_frayed(3, 1.0, SEQ234), "expected an integer, got 1.0", id="frayed-float-ell"
         ),
         pytest.param(lambda: two_bipartite_matched(0), "m must be at least 1", id="matched-m"),
+        pytest.param(lambda: two_bipartite_matched(True), "expected an integer, got True", id="matched-bool-m"),
         pytest.param(
             lambda: apply_blowups(path_graph(3), {1: (cycle_graph(3), {0: 0, 2: 0})}),
             "blow-up pattern must be a tree",
@@ -776,20 +828,22 @@ PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
             lambda: Type1Template(Graph.from_edges(1), {}, 0, -1), "k must be non-negative, got -1", id="type1-size"
         ),
         pytest.param(
-            lambda: PathBlowup(STAR, 1, 1, 2, 2, {}), "blow-up pattern must be a path", id="path-blowup-star"
+            lambda: PathBlowup(STAR, 1, 1, 2, {}), "blow-up pattern must be a path", id="path-blowup-star"
         ),
         pytest.param(
-            lambda: Type2Template({}, 4).validate_for(FIG2_BP.b, FIG2_BP.d),
+            lambda: Type2Template({}).validate_for(FIG2_BP.b, FIG2_BP.d),
             "one entry per non-d blueprint node required",
             id="type2-entries",
         ),
         pytest.param(
-            lambda: Type2Template(NONSIMPLE2.entries, 0).validate_for(FIG4_SBP.b, FIG4_SBP.d),
+            # a path of 7 edges on a blueprint of 4 nodes, whose bound is 4 + 2
+            lambda: Type2Template({**NONSIMPLE2.entries, 0: PathBlowup(path_graph(8), 0, 0, 7, {1: 3})})
+            .validate_for(FIG4_SBP.b, FIG4_SBP.d),
             "blow-up path too long",
             id="type2-length",
         ),
         pytest.param(
-            lambda: Type2Template({**SIMPLE2.entries, 0: PathBlowup(EDGE, 0, 0, 1, 1, {})}, 4).validate_for(
+            lambda: Type2Template({**SIMPLE2.entries, 0: PathBlowup(EDGE, 0, 0, 1, {})}).validate_for(
                 FIG2_BP.b, FIG2_BP.d
             ),
             "gamma of node 0 must cover its blueprint neighbours",
@@ -806,21 +860,9 @@ PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
             id="generalised-frayed-arity",
         ),
         pytest.param(
-            lambda: gen_generalised_regular(FIG2_BP, 3, Type2Template(SIMPLE2.entries, 3)),
-            "template arity does not match the blueprint order",
-            id="generalised-regular-arity",
-        ),
-        pytest.param(
-            lambda: gen_generalised_singular(FIG4_SBP, SEQ234, 7, Type3Template(edge_template(2), NONSIMPLE2)),
+            lambda: gen_generalised_singular(FIG4_SBP, SEQ234, edge_template(2), NONSIMPLE2),
             "tree template arity must be ell + f",
             id="generalised-singular-tree-arity",
-        ),
-        pytest.param(
-            lambda: gen_generalised_singular(
-                FIG4_SBP, SEQ234, 7, Type3Template(edge_template(3), Type2Template(NONSIMPLE2.entries, 3))
-            ),
-            "path template arity must be k - ell - f",
-            id="generalised-singular-path-arity",
         ),
         pytest.param(
             lambda: gen_generalised("tree"),

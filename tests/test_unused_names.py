@@ -11,6 +11,7 @@ it, as a name or an attribute, or imports it.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -29,34 +30,44 @@ def _defined(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _loaded(node: ast.AST) -> set[str]:
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, ast.Attribute)
-        or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
-    }
-
-
-def _imported(node: ast.AST) -> set[str]:
-    return {a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for a in n.names}
+@functools.cache
+def _statements(source: str) -> tuple[tuple[int, list[str], frozenset[str], frozenset[str]], ...]:
+    """(line, names defined, names loaded, names imported) of each top-level
+    statement of ``source``: a name loads as a bare name or as an attribute.
+    Cached per source text, so all checks share one parse and walk of a file
+    and keep no syntax tree."""
+    out = []
+    for node in ast.parse(source).body:
+        loaded, imported = set(), set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Attribute):
+                loaded.add(n.attr)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.id)
+            elif isinstance(n, ast.ImportFrom):
+                imported.update(a.name for a in n.names)
+        out.append((node.lineno, _defined(node), frozenset(loaded), frozenset(imported)))
+    return tuple(out)
 
 
 def _unused(sources: dict[str, str], module: str, public: bool) -> list[tuple[int, str]]:
     """(line, name) of every private (or public) name ``module`` defines and
     no top-level statement in ``sources`` uses outside its own definition;
     an import counts as a use of a public name only."""
-    tops = [(mod, node) for mod, src in sources.items() for node in ast.parse(src).body]
-    loaded = [(node, _loaded(node) | (_imported(node) if public else set())) for _, node in tops]
+    tops = [
+        (mod, line, defined, loaded | imported if public else loaded)
+        for mod, src in sources.items()
+        for line, defined, loaded, imported in _statements(src)
+    ]
     dead = []
-    for mod, node in tops:
+    for i, (mod, line, defined, _) in enumerate(tops):
         if mod != module:
             continue
-        for name in _defined(node):
+        for name in defined:
             if name.startswith("__") or name.startswith("_") == public:
                 continue
-            if not any(name in names for other, names in loaded if other is not node):
-                dead.append((node.lineno, name))
+            if not any(name in names for j, (_, _, _, names) in enumerate(tops) if j != i):
+                dead.append((line, name))
     return dead
 
 
