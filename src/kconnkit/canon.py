@@ -4,6 +4,13 @@ The canonical labelling is a small refine-and-branch scheme (colour
 refinement, then individualise vertices of the first non-trivial cell and
 take the lexicographically least adjacency key).  It is exact.
 
+Refinement keeps the old colour as the primary sort key, so a round only
+splits cells in place, and it re-sorts only the cells with a vertex next to
+a cell that split in the round before: any other cell's vertices still see
+equal colour multisets.  It thus gives the same dense ranks as re-sorting
+every vertex in every round (the reference in the tests), with each cell
+in ascending vertex order, and so the same permutations.
+
 Twin pruning: the search skips a vertex v of the target cell when a vertex
 u tried before it is a twin, N(u) - {v} == N(v) - {u}.  The swap (u v) is
 then an automorphism that fixes every individualised vertex, and refinement
@@ -30,35 +37,65 @@ individualises the whole class.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph_core import Graph
 
 
-def _refine(adj: tuple[frozenset[int], ...], colors: list[int]) -> list[int]:
-    n = len(adj)
+def _refine(adj: tuple[frozenset[int], ...], colors: list[int]) -> tuple[list[int], list[int] | None]:
+    """The stable refinement of ``colors`` as dense ranks, and its first
+    cell of two or more vertices in ascending order (``None`` if discrete).
+
+    A round sorts a cell's vertices by the sorted tuples of their
+    neighbours' colours.  The old colour stays the primary key: a cell
+    splits in place, into parts in the order of their tuples, and the later
+    cells move up by an offset.  The first round sorts every cell; a later
+    round sorts only the cells of two or more vertices of which one has a
+    neighbour in a cell that split in the round before, as in any other
+    cell the tuples are still equal.  The loop stops after the first round
+    with no split, with the ranks of re-sorting every vertex every round.
+    """
+    parts: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        parts.setdefault(c, []).append(v)
+    cells = [parts[c] for c in sorted(parts)]
+    new = [0] * len(adj)
+    touched: set[int] | None = None  # None: sort every cell
     while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)
-        ]
-        order = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [order[sig[v]] for v in range(n)]
-        if new == colors:
-            return new
-        colors = new
+        for i, cell in enumerate(cells):
+            for v in cell:
+                new[v] = i
+        out: list[list[int]] = []
+        split: list[int] = []
+        for cell in cells:
+            if len(cell) > 1 and (touched is None or not touched.isdisjoint(cell)):
+                by_sig: dict[tuple[int, ...], list[int]] = {}
+                for v in cell:
+                    by_sig.setdefault(tuple(sorted([new[w] for w in adj[v]])), []).append(v)
+                if len(by_sig) > 1:
+                    out += [by_sig[sig] for sig in sorted(by_sig)]
+                    split += cell
+                    continue
+            out.append(cell)
+        if not split:
+            return new, next((cell for cell in cells if len(cell) > 1), None)
+        cells = out
+        touched = set().union(*(adj[v] for v in split))
+
+
+def _relabelled_edges(g: Graph, perm: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges of ``g`` with ``u`` renamed ``perm[u]``, each as ``(low, high)``."""
+    return [(a, b) if (a := perm[u]) < (b := perm[v]) else (b, a) for u, v in g.edges]
 
 
 def _canon_key(g: Graph, perm: list[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u]) for u, v in g.edges))
+    return tuple(sorted(_relabelled_edges(g, perm)))
 
 
 def _search(g: Graph, colors: list[int]) -> tuple[tuple, list[int], int]:
-    colors = _refine(g.adjacency, colors)  # dense ranks 0, 1, ...
-    ranks = sorted(colors)
-    cell = next((c for c, d in zip(ranks, ranks[1:]) if c == d), None)  # least repeated rank
-    if cell is None:  # discrete: the ranks are the permutation
+    colors, target = _refine(g.adjacency, colors)
+    if target is None:  # discrete: the ranks are the permutation
         return _canon_key(g, colors), colors, 1
-    target = [v for v, c in enumerate(colors) if c == cell]
     best_key = None
     best_perm: list[int] = []
     leaves = 0
@@ -99,7 +136,7 @@ def canonical_perm(g: Graph) -> tuple[int, ...]:
 
 
 def canonical_form(g: Graph) -> Graph:
-    return g.relabel(canonical_perm(g))
+    return Graph(g.n, frozenset(_relabelled_edges(g, canonical_perm(g))))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -99,7 +99,7 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Relabel vertices, mapping old vertex ``v`` to ``perm[v]``."""
-        if sorted(perm) != list(range(self.n)):
+        if sorted(map(_check_int, perm)) != list(range(self.n)):
             raise ValueError("perm must be a permutation of the vertices")
         return Graph.from_edges(self.n, ((perm[u], perm[v]) for u, v in self.edges))
 

@@ -474,9 +474,9 @@ class Type1Template:
             raise ValueError("template tree must be a tree")
         if set(self.gamma) != set(range(self.k)):
             raise ValueError(f"gamma must cover exactly [0, {self.k})")
-        if not 0 <= self.c < self.tree.n:
+        if not 0 <= _check_int(self.c) < self.tree.n:
             raise ValueError("c must be a tree node")
-        if not all(0 <= t < self.tree.n for t in self.gamma.values()):
+        if not all(0 <= _check_int(t) < self.tree.n for t in self.gamma.values()):
             raise ValueError("gamma must map into the tree's nodes")
         image = set(self.gamma.values()) | {self.c}
         for node in self.tree.vertices:
@@ -501,7 +501,7 @@ class PathBlowup:
         p = self.path
         if not p.is_tree() or any(p.degree(v) > 2 for v in p.vertices):
             raise ValueError("blow-up pattern must be a path")
-        if self.v0 not in p.vertices or p.degree(self.v0) > 1:
+        if _check_int(self.v0) not in p.vertices or p.degree(self.v0) > 1:
             raise ValueError("v0 must be an endnode")
         seq = [self.v0]
         while len(seq) < p.n:  # walk the path from v0
@@ -509,7 +509,7 @@ class PathBlowup:
         object.__setattr__(self, "v1", seq[-1])
         pos = {node: i for i, node in enumerate(seq)}
         for node in (self.vbot, self.vtop, *self.gamma.values()):
-            if node not in pos:
+            if _check_int(node) not in pos:
                 raise ValueError(f"node {node} is not on the path")
         if pos[self.vbot] not in (0, 1):
             raise ValueError("vbot must equal v0 or be adjacent to it")

@@ -11,7 +11,7 @@ import math
 from itertools import combinations
 from typing import Callable
 
-from kconnkit.canon import _canon_key, _refine
+from kconnkit.canon import _canon_key
 from kconnkit.graph_core import (
     Graph,
     Separation,
@@ -266,9 +266,25 @@ def pair_scan_first_violation(g: Graph, parts, k: int, cut_order):
     return None
 
 
+def full_refine(adj: tuple[frozenset[int], ...], colors: list[int]) -> list[int]:
+    """Colour refinement that re-ranks every vertex in every round by its
+    colour and the sorted tuple of its neighbours' colours, until a round
+    changes nothing; the reference for ``canon._refine``'s dense ranks."""
+    n = len(adj)
+    while True:
+        sig = [
+            (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)
+        ]
+        order = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [order[sig[v]] for v in range(n)]
+        if new == colors:
+            return new
+        colors = new
+
+
 def _unpruned_search(g: Graph, colors: list[int]) -> tuple[tuple, list[int]]:
     n = g.n
-    colors = _refine(g.adjacency, colors)
+    colors = full_refine(g.adjacency, colors)
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)

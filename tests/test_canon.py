@@ -17,6 +17,7 @@ from kconnkit.graph_core import Graph, complete_graph, cycle_graph, path_graph
 from kconnkit.typical_gen import GoodSequence, gen_complete_bipartite, gen_degenerate_frayed
 from oracles import (
     backtrack_automorphism_count,
+    full_refine,
     labeled_connected_count,
     outcome,
     random_graph,
@@ -123,9 +124,47 @@ def _canon_corpus_families() -> list[Graph]:
     return out
 
 
+def _petersen() -> Graph:
+    pairs = list(itertools.combinations(range(5), 2))  # adjacent when disjoint
+    return Graph.from_edges(
+        10, [(i, j) for i, j in itertools.combinations(range(10), 2) if not set(pairs[i]) & set(pairs[j])]
+    )
+
+
+def _rook(k: int) -> Graph:
+    """K_k x K_k: the k*k squares of a board, adjacent when in one row or column."""
+    return Graph.from_edges(
+        k * k, [(u, v) for u, v in itertools.combinations(range(k * k), 2) if u // k == v // k or u % k == v % k]
+    )
+
+
+def test_refine_matches_the_full_resort(monkeypatch):
+    # Sorting only the cells next to a split must give the ranks of re-sorting
+    # every vertex in every round, and the first repeated rank's cell.
+    rng = random.Random(21)
+    graphs = list(connected_graphs(7)) + _canon_corpus_families()
+    graphs += [random_graph(rng, rng.randint(10, 30)) for _ in range(60)]
+    graphs += [_petersen(), _rook(4)] + [cycle_graph(n) for n in range(12, 17)]
+    refine = canon._refine
+    seen = [0]
+
+    def checked(adj, colors):
+        ranks, cell = refine(adj, colors)
+        assert ranks == full_refine(adj, colors), colors
+        repeated = sorted(c for c in set(ranks) if ranks.count(c) > 1)
+        assert cell == ([v for v, c in enumerate(ranks) if c == repeated[0]] if repeated else None)
+        seen[0] += 1
+        return ranks, cell
+
+    monkeypatch.setattr(canon, "_refine", checked)
+    for g in graphs:
+        canon._canonical.__wrapped__(g)  # bypass the cache
+    assert seen[0] > 2 * len(graphs)
+
+
 def test_twin_pruning_keeps_the_permutation():
     # The pruned search must return the very permutation of the full search,
-    # not only an isomorphic form.
+    # not only an isomorphic form; the full search uses its own refinement.
     rng = random.Random(5)
     graphs = list(connected_graphs(7)) + _canon_corpus_families()
     assert len(graphs) == 996 + 23

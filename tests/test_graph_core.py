@@ -313,6 +313,12 @@ P4 = path_graph(4)
         pytest.param(
             lambda: P4.relabel([0, 0, 1, 2]), "perm must be a permutation of the vertices", id="not-a-permutation"
         ),
+        pytest.param(
+            lambda: Graph.from_edges(2).relabel([True, 0]), "expected an integer, got True", id="bool-perm"
+        ),
+        pytest.param(
+            lambda: Graph.from_edges(3).relabel([0.0, 2, 1]), "expected an integer, got 0.0", id="float-perm"
+        ),
         pytest.param(lambda: cycle_graph(2), "cycle needs at least 3 vertices", id="cycle-of-two"),
         pytest.param(lambda: check_k(-1), "k must be non-negative, got -1", id="negative-k"),
         pytest.param(lambda: check_k(2.0), "expected an integer, got 2.0", id="float-k"),

@@ -92,7 +92,15 @@ def test_other_entry_points_reject_vertices_outside_the_graph():
         star_or_path(g, {5}, 1)
 
 
-@pytest.mark.parametrize("ids, bad", [([0, 1.0, 2], 1.0), ([True, 2, 3], True), ([1, True, 2], True)])
+# Explicit ids, kept as pytest first generated them, so a deleted row renames no other row.
+@pytest.mark.parametrize(
+    "ids, bad",
+    [
+        pytest.param([0, 1.0, 2], 1.0, id="ids0-1.0"),
+        pytest.param([True, 2, 3], True, id="ids1-True"),
+        pytest.param([1, True, 2], True, id="ids2-True"),
+    ],
+)
 def test_non_integer_vertex_ids_are_rejected(ids, bad):
     # 1.0 and True pass a range check and equal the vertex 1, so a set of
     # the ids would drop a True that follows a 1

@@ -369,23 +369,33 @@ def test_td_json_round_trip():
     assert TreeDecomposition.from_json(td.to_json()) == td
 
 
+# Explicit ids, kept as pytest first generated them, so a deleted row renames no other row.
 @pytest.mark.parametrize(
     "decode, obj",
     [
-        (graph_from_json, {"n": 3.7, "edges": []}),
-        (graph_from_json, {"n": "3", "edges": []}),
-        (graph_from_json, {"n": True, "edges": []}),
-        (graph_from_json, {"n": 3, "edges": [[0.0, 1.0]]}),
-        (graph_from_json, {"n": 3, "edges": [[0, False]]}),
-        (Separation.from_json, {"a": [0, 1.5], "b": [1]}),
-        (Separation.from_json, {"a": [0, 1], "b": [True]}),
-        (TreeDecomposition.from_json, {"tree": {"n": 1, "edges": []}, "parts": [[0.5]]}),
-        (TreeDecomposition.from_json, {"tree": {"n": 1.0, "edges": []}, "parts": [[0]]}),
-        (
+        pytest.param(graph_from_json, {"n": 3.7, "edges": []}, id="graph_from_json-obj0"),
+        pytest.param(graph_from_json, {"n": "3", "edges": []}, id="graph_from_json-obj1"),
+        pytest.param(graph_from_json, {"n": True, "edges": []}, id="graph_from_json-obj2"),
+        pytest.param(graph_from_json, {"n": 3, "edges": [[0.0, 1.0]]}, id="graph_from_json-obj3"),
+        pytest.param(graph_from_json, {"n": 3, "edges": [[0, False]]}, id="graph_from_json-obj4"),
+        pytest.param(Separation.from_json, {"a": [0, 1.5], "b": [1]}, id="from_json-obj5"),
+        pytest.param(Separation.from_json, {"a": [0, 1], "b": [True]}, id="from_json-obj6"),
+        pytest.param(
+            TreeDecomposition.from_json,
+            {"tree": {"n": 1, "edges": []}, "parts": [[0.5]]},
+            id="from_json-obj7",
+        ),
+        pytest.param(
+            TreeDecomposition.from_json,
+            {"tree": {"n": 1.0, "edges": []}, "parts": [[0]]},
+            id="from_json-obj8",
+        ),
+        pytest.param(
             NestedSeparationSystem.from_json,
             {"graph": {"n": 2, "edges": [[0, 1]]}, "separations": [{"a": [0, 1], "b": ["1"]}]},
+            id="from_json-obj9",
         ),
-        (graph_from_json, {"n": 3, "edges": [["0", 1]]}),
+        pytest.param(graph_from_json, {"n": 3, "edges": [["0", 1]]}, id="graph_from_json-obj10"),
     ],
 )
 def test_json_decoders_reject_non_integer_ids(decode, obj):

@@ -338,32 +338,45 @@ def test_path_blowup_reads_the_same_from_either_end():
                     assert PathBlowup(path, v0, vbot, vtop, gamma).v1 == n - 1 - v0
 
 
+P2031 = Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)])  # the path 2 - 0 - 3 - 1: v0 = 2 is its larger-id end
+
+
+# Explicit ids, kept as pytest first generated them, so a deleted row renames no other row.
 @pytest.mark.parametrize(
     "path, args, outcome",
     [
-        # the path 2 - 0 - 3 - 1, with v0 = 2 at its larger-id end
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 2, 1, {5: 0}), "ok"),
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 0, 3, {5: 0, 6: 3}), "ok"),
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (0, 0, 3, {}), "v0 must be an endnode"),
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (7, 7, 1, {}), "v0 must be an endnode"),
-        (Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]), (2, 2, 1, {5: 9}), "node 9 is not on the path"),
-        (
-            Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]),
+        pytest.param(P2031, (2, 2, 1, {5: 0}), "ok", id="path0-args0-ok"),
+        pytest.param(P2031, (2, 0, 3, {5: 0, 6: 3}), "ok", id="path1-args1-ok"),
+        pytest.param(P2031, (0, 0, 3, {}), "v0 must be an endnode", id="path2-args2-v0 must be an endnode"),
+        pytest.param(P2031, (7, 7, 1, {}), "v0 must be an endnode", id="path3-args3-v0 must be an endnode"),
+        pytest.param(
+            P2031,
+            (2, 2, 1, {5: 9}),
+            "node 9 is not on the path",
+            id="path4-args4-node 9 is not on the path",
+        ),
+        pytest.param(
+            P2031,
             (2, 3, 1, {}),
             "vbot must equal v0 or be adjacent to it",
+            id="path5-args5-vbot must equal v0 or be adjacent to it",
         ),
-        (
-            Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]),
+        pytest.param(
+            P2031,
             (2, 2, 0, {}),
             "vtop must equal v1 or be adjacent to it",
+            id="path6-args6-vtop must equal v1 or be adjacent to it",
         ),
-        (
-            Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]),
+        pytest.param(
+            P2031,
             (2, 0, 3, {5: 2}),
             "attachments must land between vbot and vtop",
+            id="path7-args7-attachments must land between vbot and vtop",
         ),
-        (Graph.from_edges(2, [(0, 1)]), (1, 0, 1, {}), "vbot must not pass vtop"),
-        (Graph.from_edges(2, [(0, 1)]), (1, 1, 0, {5: 0}), "ok"),
+        pytest.param(
+            path_graph(2), (1, 0, 1, {}), "vbot must not pass vtop", id="path8-args8-vbot must not pass vtop"
+        ),
+        pytest.param(path_graph(2), (1, 1, 0, {5: 0}), "ok", id="path9-args9-ok"),
     ],
 )
 def test_path_blowup_with_v0_at_the_larger_end(path, args, outcome):
@@ -596,19 +609,60 @@ def _set(items: list, i: int, value: object) -> None:
     items[i] = value
 
 
+# Explicit ids, kept as pytest first generated them, so a deleted row renames no other row.
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda o: o.update(core=[1.0, True]), "expected an integer, got 1.0"),
-        (lambda o: o.update(core=[True]), "expected an integer, got True"),
-        (lambda o: o["roles"][1].update(node=1.5), "expected an integer, got 1.5"),
-        (lambda o: o["roles"][1].update(index=True), "expected an integer, got True"),
-        (lambda o: o["roles"][1].update(colour=3), r"unknown role fields \['colour'\]"),
-        (lambda o: o["roles"].pop(), "roles must be one Role per vertex"),
-        (lambda o: _set(o["parent_map"], 1, 7.5), "expected an integer, got 7.5"),
-        (lambda o: _set(o["parent_map"], 1, 3), "vertex 3 outside graph"),
-        (lambda o: _set(o["parent_map"], 1, "0"), "expected an integer, got '0'"),
-        (lambda o: o.pop("parent_map"), "parent and parent_map must be given together"),
+        pytest.param(
+            lambda o: o.update(core=[1.0, True]),
+            "expected an integer, got 1.0",
+            id="<lambda>-expected an integer, got 1.0",
+        ),
+        pytest.param(
+            lambda o: o.update(core=[True]),
+            "expected an integer, got True",
+            id="<lambda>-expected an integer, got True0",
+        ),
+        pytest.param(
+            lambda o: o["roles"][1].update(node=1.5),
+            "expected an integer, got 1.5",
+            id="<lambda>-expected an integer, got 1.5",
+        ),
+        pytest.param(
+            lambda o: o["roles"][1].update(index=True),
+            "expected an integer, got True",
+            id="<lambda>-expected an integer, got True1",
+        ),
+        pytest.param(
+            lambda o: o["roles"][1].update(colour=3),
+            r"unknown role fields \['colour'\]",
+            id=r"<lambda>-unknown role fields \['colour'\]",
+        ),
+        pytest.param(
+            lambda o: o["roles"].pop(),
+            "roles must be one Role per vertex",
+            id="<lambda>-roles must be one Role per vertex",
+        ),
+        pytest.param(
+            lambda o: _set(o["parent_map"], 1, 7.5),
+            "expected an integer, got 7.5",
+            id="<lambda>-expected an integer, got 7.5",
+        ),
+        pytest.param(
+            lambda o: _set(o["parent_map"], 1, 3),
+            "vertex 3 outside graph",
+            id="<lambda>-vertex 3 outside graph",
+        ),
+        pytest.param(
+            lambda o: _set(o["parent_map"], 1, "0"),
+            "expected an integer, got '0'",
+            id="<lambda>-expected an integer, got '0'",
+        ),
+        pytest.param(
+            lambda o: o.pop("parent_map"),
+            "parent and parent_map must be given together",
+            id="<lambda>-parent and parent_map must be given together",
+        ),
     ],
 )
 def test_cmg_from_json_accepts_only_vertex_ids(mutate, message):
@@ -820,6 +874,14 @@ PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
             lambda: Type1Template(EDGE, {0: 0, 1: 1}, 0, 2.0), "expected an integer, got 2.0", id="type1-float-k"
         ),
         pytest.param(
+            lambda: Type1Template(EDGE, {0: 0, 1: 1}, True, 2), "expected an integer, got True", id="type1-bool-c"
+        ),
+        pytest.param(
+            lambda: Type1Template(EDGE, {0: 0.0, 1: 1}, 0, 2),
+            "expected an integer, got 0.0",
+            id="type1-float-gamma",
+        ),
+        pytest.param(
             lambda: Type1Template(path_graph(3), {0: 0}, 0, 1),
             "node 1 of low degree is neither c nor attached",
             id="type1-low-degree",
@@ -829,6 +891,26 @@ PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
         ),
         pytest.param(
             lambda: PathBlowup(STAR, 1, 1, 2, {}), "blow-up pattern must be a path", id="path-blowup-star"
+        ),
+        pytest.param(
+            lambda: PathBlowup(path_graph(2), True, True, 0, {}),
+            "expected an integer, got True",
+            id="path-blowup-bool-v0",
+        ),
+        pytest.param(
+            lambda: PathBlowup(path_graph(2), 0, True, 1, {}),
+            "expected an integer, got True",
+            id="path-blowup-bool-vbot",
+        ),
+        pytest.param(
+            lambda: PathBlowup(path_graph(2), 0, 0, 1.0, {}),
+            "expected an integer, got 1.0",
+            id="path-blowup-float-vtop",
+        ),
+        pytest.param(
+            lambda: PathBlowup(path_graph(3), 0, 0, 2, {0: 1.0}),
+            "expected an integer, got 1.0",
+            id="path-blowup-float-gamma",
         ),
         pytest.param(
             lambda: Type2Template({}).validate_for(FIG2_BP.b, FIG2_BP.d),
