@@ -81,9 +81,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def add_edges(self, extra: Iterable[Sequence[int]]) -> "Graph":
-        return Graph.from_edges(self.n, list(self.edges) + [tuple(e) for e in extra])
-
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on ``keep``.
 

@@ -11,9 +11,11 @@ in C and more than s of ``p2`` in D.
 by enumerating separators of fewer than ``top`` vertices, and returns the
 first failing pair, ranked ascending in ``l`` and then lexicographically.  It
 runs no flow: the least violating order s fixes ``l = s + 1`` and the
-failing pair's ``s`` paths, and bitmask tests against ``z1 & z2`` (route a)
-or the order-s separators (route b) decide each pair.  Only the witness
-separator of :func:`is_k_connected` comes from a flow.
+failing pair's ``s`` paths, and bitmask tests decide each pair.  When ``z1 &
+z2`` has s vertices it is the separator (route a), and one search per vertex
+u of z1, in ``g - (z1 - u)``, decides every such pair of that z1; otherwise
+the order-s separators decide it (route b).  Only the witness separator of
+:func:`is_k_connected` comes from a flow.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def first_failed_pair(
     size ``s + 1``, and a pair fails iff some X of at most s vertices
     separates it.  Such an X is a violating separator, so ``len(X) == s`` by
     minimality and the pair has s paths.  If ``z1 & z2`` has s vertices it
-    is X, and one reachability test decides the pair (route a); otherwise the
+    is X, and what the vertex of ``z1 - X`` reaches in ``g - X`` decides the
+    pair (route a, one search per such vertex of z1); otherwise the
     pair fails iff some violating separator of order s leaves no component
     meeting both ``z1 - S`` and ``z2 - S`` (route b), the rest of that level
     being enumerated only while no separator found so far splits the pair.  A
@@ -113,23 +116,32 @@ def _first_split_pair(
     level: Iterator[_Separator],
 ) -> tuple[frozenset[int], frozenset[int]]:
     """The first pair of size ``s + 1`` that a separator of order s splits,
-    in the order of :func:`first_failed_pair`; it has s disjoint paths."""
+    in the order of :func:`first_failed_pair`; it has s disjoint paths.
+
+    Each z1 computes, only when a pair first needs it, one search per vertex
+    u of z1: what u reaches in ``g - (z1 - u)`` decides every route-a pair
+    with ``z1 & z2 == z1 - u``; and one mask per separator: the components
+    it leaves that meet z1, which a pair's z2 misses iff it splits the pair.
+    """
     same = p1 == p2
     masks = g.adjacency_masks
     full = (1 << g.n) - 1
     found = [first]
 
-    def cuts(comps: _Separator, m1: int, m2: int) -> bool:
-        return not any(c & m1 and c & m2 for c in comps)
-
-    def separated(m1: int, m2: int) -> bool:
-        if any(cuts(sep, m1, m2) for sep in found):
+    def separated(m1: int, m2: int, touched: list[int]) -> bool:
+        """Whether a separator of level s splits the pair, with ``touched[i]``
+        the components of ``found[i]`` meeting z1, filled in as needed."""
+        if any(not t & m2 for t in touched):
             return True
-        for sep in level:  # finish level s only as far as this pair needs
-            found.append(sep)
-            if cuts(sep, m1, m2):
+        while True:
+            if len(touched) == len(found):
+                sep = next(level, None)  # finish level s only as far as this pair needs
+                if sep is None:
+                    return False
+                found.append(sep)
+            touched.append(sum(c for c in found[len(touched)] if c & m1))
+            if not touched[-1] & m2:
                 return True
-        return False
 
     def subsets(p: frozenset[int]) -> list[int]:
         return list(map(sum, itertools.combinations([1 << v for v in sorted(p)], s + 1)))
@@ -137,14 +149,19 @@ def _first_split_pair(
     left = subsets(p1)
     right = left if same else subsets(p2)
     for i, m1 in enumerate(left):
+        reach: dict[int, int] = {}  # u -> what u reaches in g - (z1 - u)
+        touched: list[int] = []
         for m2 in right[i + 1 :] if same else right:
             if m1 == m2:
                 continue
             common = m1 & m2
             if common.bit_count() == s:  # route a: the separator is z1 & z2
-                if reachable_mask(masks, m1 & ~common, full & ~common) & m2:
+                u = m1 & ~common
+                if u not in reach:
+                    reach[u] = reachable_mask(masks, u, full & ~common)
+                if reach[u] & m2:
                     continue
-            elif not separated(m1, m2):  # route b
+            elif not separated(m1, m2, touched):  # route b
                 continue
             return frozenset(_bits(m1)), frozenset(_bits(m2))
     raise AssertionError("violating separation but no failing pair")

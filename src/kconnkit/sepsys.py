@@ -30,9 +30,12 @@ from .graph_core import (
 
 
 def is_nested_pair(s1: Separation, s2: Separation) -> bool:
-    """True iff some orientation of s1 is comparable to some orientation of s2."""
-    i1 = s1.inverse()
-    return s1.leq(s2) or s1.leq(s2.inverse()) or i1.leq(s2) or i1.leq(s2.inverse())
+    """True iff some orientation of s1 is comparable to some orientation of s2:
+    s1 <= s2, s1 <= s2*, s1* <= s2 or s1* <= s2*, tested on the sides."""
+    (a1, b1), (a2, b2) = (s1.a, s1.b), (s2.a, s2.b)
+    return (
+        a1 <= a2 and b2 <= b1 or a1 <= b2 and a2 <= b1 or b1 <= a2 and b2 <= a1 or b1 <= b2 and a2 <= a1
+    )
 
 
 @dataclass(frozen=True)
@@ -111,12 +114,10 @@ def consistent_orientations(n: NestedSeparationSystem) -> list[frozenset[Separat
         for s in sorted(pairs[i], key=Separation.sort_key):
             # consistency is a pairwise condition (including a pick against
             # its own inverse), so incremental checks prune exactly the
-            # inconsistent branches
-            if s.inverse() != s and s.inverse().leq(s):
+            # inconsistent branches: s* <= s, and t* <= s (the same as s* <= t)
+            if s.a != s.b and s.b <= s.a:
                 continue
-            if all(
-                not t.inverse().leq(s) and not s.inverse().leq(t) for t in chosen
-            ):
+            if not any(t.b <= s.a and s.b <= t.a for t in chosen):
                 chosen.append(s)
                 extend(i + 1, chosen)
                 chosen.pop()

@@ -472,7 +472,7 @@ class Type1Template:
         check_k(self.k)
         if not self.tree.is_tree():
             raise ValueError("template tree must be a tree")
-        if set(self.gamma) != set(range(self.k)):
+        if set(map(_check_int, self.gamma)) != set(range(self.k)):
             raise ValueError(f"gamma must cover exactly [0, {self.k})")
         if not 0 <= _check_int(self.c) < self.tree.n:
             raise ValueError("c must be a tree node")
@@ -508,6 +508,8 @@ class PathBlowup:
             seq.extend(p.neighbors(seq[-1]) - set(seq[-2:]))
         object.__setattr__(self, "v1", seq[-1])
         pos = {node: i for i, node in enumerate(seq)}
+        for key in self.gamma:  # blueprint nodes, matched in Type2Template.validate_for
+            _check_int(key)
         for node in (self.vbot, self.vtop, *self.gamma.values()):
             if _check_int(node) not in pos:
                 raise ValueError(f"node {node} is not on the path")

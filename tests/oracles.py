@@ -502,6 +502,11 @@ def labeled_connected_count(n: int) -> int:
     return conn[n]
 
 
+def add_edges(g: Graph, extra) -> Graph:
+    """``g`` with the edges ``extra`` added."""
+    return Graph.from_edges(g.n, list(g.edges) + [tuple(e) for e in extra])
+
+
 def random_graph(rng, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
@@ -513,7 +518,7 @@ def random_connected_graph(rng, n: int, p: float = 0.4) -> Graph:
     verts = list(range(n))
     rng.shuffle(verts)
     extra = [(verts[i], verts[i + 1]) for i in range(n - 1)]
-    return g.add_edges(extra)
+    return add_edges(g, extra)
 
 
 def random_separation(rng, g: Graph, max_sep: int = 3, allow_improper: bool = False):

@@ -77,6 +77,32 @@ def test_is_k_connected_matches_pair_scan():
     assert verdicts[True] and verdicts[False], verdicts
 
 
+def test_route_a_runs_one_search_per_vertex_of_z1(monkeypatch):
+    """Route a (the separator is z1 & z2) decides all pairs of one z1 with at
+    most s + 1 searches: one per vertex u of z1, in g - (z1 - u)."""
+    searches = []
+    real = kconn.reachable_mask
+
+    def counting(*args):
+        if sys._getframe(1).f_code.co_name == "_first_split_pair":
+            searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kconn, "reachable_mask", counting)
+    rng = random.Random(1044)
+    hosts = [
+        (cycle_graph(8), 4),
+        (complete_bipartite_graph(3, 6), 4),
+        (random_connected_graph(rng, 10, 0.3), 4),
+    ]
+    for g, k in hosts:
+        del searches[:]
+        z1, z2 = kconn.first_failed_pair(g, g.vertex_set, g.vertex_set, k)
+        s = len(z1) - 1
+        scanned = list(map(frozenset, itertools.combinations(range(g.n), s + 1))).index(z1) + 1
+        assert 0 < len(searches) <= scanned * (s + 1), (g, len(searches), scanned)
+
+
 def test_vertices_outside_the_graph_are_rejected():
     g = path_graph(3)
     for a, k, bad in (({0, 5}, 1, "5"), ({0, 1, 5}, 2, "5"), ({-1, 0}, 1, "-1")):

@@ -1,5 +1,6 @@
 import collections
 import functools
+import gc
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from kconnkit.sepsys import (
     validate_td,
 )
 from oracles import (
+    add_edges,
     brute_is_separator,
     min_path_adhesion,
     pair_scan_first_violation,
@@ -158,7 +160,7 @@ def test_split_runs_one_separator_flow_and_copies_nothing(monkeypatch):
     monkeypatch.setattr(graph_core, "_run_flow", counting_run_flow)
     monkeypatch.setattr(lean, "_split_on_violation", counting_split)
     monkeypatch.setattr(Graph, "induced_subgraph", counting_copy)
-    g = cycle_graph(10).add_edges([(0, 5), (2, 7)])
+    g = add_edges(cycle_graph(10), [(0, 5), (2, 7)])
     td = build_k_lean_td(g, 3)
     monkeypatch.undo()
     assert is_k_lean_td(g, td, 3) is True
@@ -256,6 +258,12 @@ def test_decomposition_tree_must_be_a_tree():
         is_k_lean_td(path_graph(3), TreeDecomposition(cycle, parts + (frozenset({1}),)), 2)
 
 
+def _cold(call, *args):
+    """``call(*args)`` with no passed demand stored for any host."""
+    lean._passed.clear()
+    return call(*args)
+
+
 def _sparse_part_decompositions(rng):
     """Large sparse hosts with a path of small overlapping parts, so that the
     demand kernel meets small part pairs on hosts with many separators."""
@@ -290,7 +298,7 @@ def test_lean_checkers_match_pair_scan():
 
     def check_td(g, td, k):
         cut_order = functools.partial(min_path_adhesion, td)
-        check(g, list(td.parts), k, cut_order, is_k_lean_td(g, td, k))
+        check(g, list(td.parts), k, cut_order, _cold(is_k_lean_td, g, td, k))
 
     rng = random.Random(2764)
     for g in connected_graphs(6):
@@ -298,7 +306,7 @@ def test_lean_checkers_match_pair_scan():
             check_td(g, TreeDecomposition(Graph.from_edges(1), (g.vertex_set,)), k)
     for _ in range(8):
         g = random_connected_graph(rng, rng.randint(7, 11), rng.choice((0.2, 0.35)))
-        td = build_k_lean_td(g, rng.choice((2, 3)))
+        td = _cold(build_k_lean_td, g, rng.choice((2, 3)))
         for k in range(max(map(len, td.adhesion_sets()), default=0) + 1, 5):
             check_td(g, td, k)
     for g, td, k in _sparse_part_decompositions(rng):
@@ -314,13 +322,93 @@ def test_lean_checkers_match_pair_scan():
             )
 
         for k in range(max((s.order for s in n.seps), default=0) + 1, 5):
-            check(g, parts, k, cut_order, is_k_lean_nss(n, k))
+            check(g, parts, k, cut_order, _cold(is_k_lean_nss, n, k))
     assert answers[True] and answers[False], answers
     assert cross > 0
 
 
 def test_build_matches_pair_scan_builder(monkeypatch):
     cases = [(g, k) for g in connected_graphs(6) for k in range(1, 5)]
-    built = [build_k_lean_td(g, k) for g, k in cases]
+    built = [_cold(build_k_lean_td, g, k) for g, k in cases]
     monkeypatch.setattr(lean, "_first_violation", pair_scan_first_violation)
     assert built == [build_k_lean_td(g, k) for g, k in cases]
+
+
+def test_warm_verdicts_equal_cold_ones(monkeypatch):
+    """Every check gives the same answer cold, with no passed demand stored,
+    as warm, after earlier checks of the same host passed pairs of supersets:
+    on the trivial decomposition of each connected graph of order 6 with k
+    descending, and on seeded built decompositions after their build."""
+    scans = collections.Counter()
+    real = lean.first_failed_pair
+
+    def counting(*args):
+        scans[warm] += 1
+        return real(*args)
+
+    hosts = []  # the checks of one host, in warm order
+    for g in connected_graphs(6):
+        one_part = TreeDecomposition(Graph.from_edges(1), (g.vertex_set,))
+        hosts.append([functools.partial(is_k_lean_td, g, one_part, k) for k in range(4, 0, -1)])
+    rng = random.Random(3107)
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randint(7, 11), rng.choice((0.2, 0.35)))
+        k0 = rng.choice((2, 3))
+        td = _cold(build_k_lean_td, g, k0)
+        n = td_to_nss(g, td)
+        ks = range(4, max(map(len, td.adhesion_sets()), default=0), -1)
+        hosts.append(
+            [functools.partial(build_k_lean_td, g, k0)]
+            + [functools.partial(is_k_lean_td, g, td, k) for k in ks]
+            + [functools.partial(is_k_lean_nss, n, k) for k in ks]
+        )
+    monkeypatch.setattr(lean, "first_failed_pair", counting)
+    verdicts = collections.Counter()
+    for checks in hosts:
+        warm = False
+        cold = [_cold(check) for check in checks]
+        warm = True
+        lean._passed.clear()
+        assert [check() for check in checks] == cold, checks[0]
+        verdicts.update(v is True for v in cold)
+    assert verdicts[True] and verdicts[False], verdicts
+    assert scans[True] < scans[False], scans
+
+
+def test_passed_demands_are_not_scanned_again(monkeypatch):
+    """After a build, checking the nested system its decomposition induces
+    scans no demand: the build passed them all on the same host.  A failed
+    demand is never stored, so asking it twice scans it twice.  Equal hosts
+    share their stored demands, which go with the host."""
+    scans = []
+    real = lean.first_failed_pair
+
+    def counting(*args):
+        scans.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(lean, "first_failed_pair", counting)
+    rng = random.Random(1901)
+    for _ in range(12):
+        g = random_connected_graph(rng, rng.randint(6, 11), rng.choice((0.2, 0.35)))
+        k = rng.choice((2, 3, 4))
+        td = build_k_lean_td(g, k)
+        del scans[:]
+        assert is_k_lean_nss(td_to_nss(g, td), k) is True
+        assert scans == [], (g, k)
+
+    lean._passed.clear()
+    g = path_graph(4)
+    one_part = TreeDecomposition(Graph.from_edges(1), (g.vertex_set,))
+    del scans[:]
+    first = is_k_lean_td(g, one_part, 2)
+    assert isinstance(first, LeanViolation)
+    assert is_k_lean_td(g, one_part, 2) == first
+    assert len(scans) == 2
+    assert is_k_lean_td(g, one_part, 1) is True
+    assert len(scans) == 3
+    assert is_k_lean_td(path_graph(4), one_part, 1) is True  # an equal host
+    assert len(scans) == 3
+    del g
+    gc.collect()
+    assert len(lean._passed) == 0

@@ -115,6 +115,21 @@ def test_orientations_come_out_sorted():
     assert improper >= 30
 
 
+def test_orientations_are_every_consistent_choice_of_one_member_per_pair():
+    """Complete and in order: the brute force takes one member of each pair,
+    members in sort order, and keeps the choices ``is_consistent`` accepts."""
+    rng = random.Random(1503)
+    improper = 0
+    for i in range(200):
+        g = random_connected_graph(rng, rng.randint(2, 8))
+        n = random_nested_system(rng, g, allow_improper=i % 3 == 0)
+        improper += any(g.vertex_set in (s.a, s.b) for s in n.seps)
+        choices = itertools.product(*(sorted(p, key=Separation.sort_key) for p in n.pairs))
+        brute = [o for o in map(frozenset, choices) if is_consistent(n, o)]
+        assert consistent_orientations(n) == brute, n
+    assert improper >= 20
+
+
 def test_td_nodes_are_adjacent_iff_their_orientations_differ_on_one_pair():
     rng = random.Random(1502)
     for _ in range(120):

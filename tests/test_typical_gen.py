@@ -33,7 +33,7 @@ from kconnkit.typical_gen import (
     interior_core_cutoff,
     two_bipartite_matched,
 )
-from oracles import outcome, random_connected_graph, random_graph, random_nested_system
+from oracles import add_edges, outcome, random_connected_graph, random_graph, random_nested_system
 
 # Fixture recipes: a path c-a-b-d with the far leaf contracted, and the
 # glued seven-family on the same path.
@@ -138,7 +138,7 @@ def test_layer_product_rejects_bad_blueprint():
     with pytest.raises(ValueError):
         gen_layer_product(path_graph(4), {1}, 3)  # not a leaf
     with pytest.raises(ValueError):
-        gen_layer_product(Graph.from_edges(3, [(0, 1), (1, 2), ]).add_edges([(0, 2)]), set(), 3)
+        gen_layer_product(add_edges(path_graph(3), [(0, 2)]), set(), 3)
 
 
 def test_interior_core_cutoff_without_a_core_is_none():
@@ -881,6 +881,17 @@ PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
             "expected an integer, got 0.0",
             id="type1-float-gamma",
         ),
+        # a bool or float gamma key equal to 1 would pass the domain check
+        pytest.param(
+            lambda: Type1Template(EDGE, {0: 0, True: 1}, 0, 2),
+            "expected an integer, got True",
+            id="type1-bool-gamma-key",
+        ),
+        pytest.param(
+            lambda: Type1Template(EDGE, {0: 0, 1.0: 1}, 0, 2),
+            "expected an integer, got 1.0",
+            id="type1-float-gamma-key",
+        ),
         pytest.param(
             lambda: Type1Template(path_graph(3), {0: 0}, 0, 1),
             "node 1 of low degree is neither c nor attached",
@@ -911,6 +922,11 @@ PLAIN = CoreMarkedGraph(EDGE, (), ROLES2)
             lambda: PathBlowup(path_graph(3), 0, 0, 2, {0: 1.0}),
             "expected an integer, got 1.0",
             id="path-blowup-float-gamma",
+        ),
+        pytest.param(
+            lambda: PathBlowup(path_graph(3), 0, 0, 2, {1.5: 1}),
+            "expected an integer, got 1.5",
+            id="path-blowup-float-gamma-key",
         ),
         pytest.param(
             lambda: Type2Template({}).validate_for(FIG2_BP.b, FIG2_BP.d),
