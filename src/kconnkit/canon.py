@@ -32,6 +32,19 @@ tried u adds u's count, because the swap (u v) maps u's subtree onto v's
 leaf for leaf with the same keys.  A twin class of size t thus multiplies
 the count by t at the node that splits it, and by t! along the path that
 individualises the whole class.
+
+``connected_graphs`` labels only the vertex augmentations that can be
+canonical (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
+1998).  It skips the augmentation of a parent g by a new vertex when some
+non-cut vertex of the augmented graph has a larger invariant, (degree,
+sorted neighbour degrees), than the new vertex; the test runs on adjacency
+masks, before any graph is built.  No class is lost.  Let F be a connected
+graph with two or more vertices, and v a non-cut vertex of F whose
+invariant is largest among F's non-cut vertices.  F - v is connected, so
+its canonical form is in the level before, and one neighbourhood mask
+re-creates F with v as the new vertex.  An isomorphism onto F maps the
+non-cut vertices of that augmentation onto F's and keeps every invariant,
+so no non-cut vertex beats the new one, and the augmentation passes.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .graph_core import Graph
+from .graph_core import Graph, _bits, _check_int, reachable_mask
 
 
 def _refine(adj: tuple[frozenset[int], ...], colors: list[int]) -> tuple[list[int], list[int] | None]:
@@ -162,15 +175,43 @@ def automorphism_count(g: Graph) -> int:
 # Enumeration of connected graphs up to isomorphism
 
 
+def _may_be_canonical(masks: Sequence[int], mask: int) -> bool:
+    """Whether the graph of ``masks`` plus a new vertex ``n`` adjacent to
+    ``mask`` can be its class's canonical augmentation: no non-cut vertex of
+    it has a larger invariant, ``(degree, sorted neighbour degrees)``, than
+    the new vertex.  Only the vertices whose invariant beats the new
+    vertex's are tested for being cut vertices."""
+    n = len(masks)
+    new = 1 << n
+    aug = [m | new if mask >> v & 1 else m for v, m in enumerate(masks)]
+    aug.append(mask)
+    deg = [m.bit_count() for m in aug]
+    top = deg[n], sorted([deg[u] for u in _bits(mask)])
+    everyone = (new << 1) - 1
+    for v in range(n):
+        if deg[v] >= top[0] and (deg[v], sorted([deg[u] for u in _bits(aug[v])])) > top:
+            rest = everyone ^ (1 << v)
+            if reachable_mask(aug, new, rest) == rest:
+                return False
+    return True
+
+
 def connected_graphs(n_max: int) -> Iterator[Graph]:
     """All connected graphs with 1..n_max vertices, one per isomorphism class.
 
-    Grown by vertex augmentation: every connected graph arises from a
-    connected graph one vertex smaller by attaching a new vertex with a
-    non-empty neighbourhood (delete any non-cutvertex to see this).  Output
-    is deterministic, ordered by (vertex count, canonical edge key).
+    Grown by vertex augmentation: every connected graph with two or more
+    vertices arises from a connected graph one vertex smaller by attaching a
+    new vertex with a non-empty neighbourhood.  Only the augmentations that
+    ``_may_be_canonical`` passes are labelled: those in which no non-cut
+    vertex has a larger invariant than the new vertex.  No class is lost:
+    deleting a non-cut vertex of largest invariant leaves a connected graph
+    of the level before, and attaching it back passes the filter (the
+    module docstring has the argument).  The ``seen`` set drops the repeats
+    among the labelled augmentations.  Output is
+    deterministic, ordered by (vertex count, canonical edge key);
+    ``n_max < 1`` yields nothing.
     """
-    if n_max < 1:
+    if _check_int(n_max) < 1:
         return
     level: list[Graph] = [Graph.from_edges(1)]
     yield level[0]
@@ -178,7 +219,10 @@ def connected_graphs(n_max: int) -> Iterator[Graph]:
         seen: set[frozenset[tuple[int, int]]] = set()
         nxt: list[Graph] = []
         for g in level:
+            masks = g.adjacency_masks
             for mask in range(1, 1 << g.n):
+                if not _may_be_canonical(masks, mask):
+                    continue
                 edges = list(g.edges) + [
                     (v, g.n) for v in range(g.n) if (mask >> v) & 1
                 ]
@@ -189,26 +233,3 @@ def connected_graphs(n_max: int) -> Iterator[Graph]:
         nxt.sort(key=lambda h: sorted(h.edges))
         yield from nxt
         level = nxt
-
-
-# ---------------------------------------------------------------------------
-# graph6 encoding
-
-
-def to_graph6(g: Graph) -> str:
-    """Encode in the standard graph6 format (n <= 62)."""
-    if g.n > 62:
-        raise ValueError("graph6 small form supports n <= 62 only")
-    bits: list[int] = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(63 + g.n)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(63 + val))
-    return "".join(chars)

@@ -6,8 +6,9 @@ Runs each root's own ``perfbench/worker.py`` once per workload of the change
 root's ``BENCHMARK.json`` at each pass seed of ``PASS_SEEDS``, and compares
 the two reports: the id, op, inputs, outputs and error of every call, in
 order, plus the ``flow_cache`` and ``perm_cache`` counters.  Timings are
-not compared.  Prints one line per workload and seed, with the ids of the
-calls that differ, and exits 1 if anything differs.
+not compared.  Prints one line per workload and seed, with each counter
+that differs as ``name parent -> change`` and the ids of the calls that
+differ, and exits 1 if anything differs.
 """
 
 from __future__ import annotations
@@ -25,10 +26,14 @@ COUNTERS = ("flow_cache", "perm_cache")
 
 
 def differences(parent: dict, change: dict) -> list[str]:
-    """The names of the counters that differ, then the id of every call
-    position where the two reports differ in a field of ``CALL_FIELDS``
-    (a call that only one report holds differs too)."""
-    diff = [key for key in COUNTERS if parent.get(key) != change.get(key)]
+    """Each counter that differs, as ``name parent -> change``, then the id
+    of every call position where the two reports differ in a field of
+    ``CALL_FIELDS`` (a call that only one report holds differs too)."""
+    diff = [
+        f"{key} {parent.get(key)} -> {change.get(key)}"
+        for key in COUNTERS
+        if parent.get(key) != change.get(key)
+    ]
     for p, c in itertools.zip_longest(parent["calls"], change["calls"], fillvalue={}):
         if any(p.get(f) != c.get(f) for f in CALL_FIELDS):
             diff.append(str(p.get("id", c.get("id"))))
@@ -55,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload, seed in itertools.product((w["name"] for w in spec["workloads"]), PASS_SEEDS):
         change = run_worker(args.change, workload, seed)
         diff = differences(run_worker(args.parent, workload, seed), change)
-        verdict = "differ: " + " ".join(diff) if diff else "identical"
+        verdict = "differ: " + "; ".join(diff) if diff else "identical"
         print(f"{workload} pass seed {seed}: {len(change['calls'])} calls, {verdict}")
         differ |= bool(diff)
     return 1 if differ else 0

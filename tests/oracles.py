@@ -9,9 +9,9 @@ from __future__ import annotations
 import itertools
 import math
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
-from kconnkit.canon import _canon_key
+from kconnkit.canon import _canon_key, canonical_form
 from kconnkit.graph_core import (
     Graph,
     Separation,
@@ -317,6 +317,49 @@ def unpruned_canonical_perm(g: Graph) -> tuple[int, ...]:
         return ()
     _, perm = _unpruned_search(g, [0] * g.n)
     return tuple(perm)
+
+
+def all_masks_connected_graphs(n_max: int) -> Iterator[Graph]:
+    """``connected_graphs`` without its filter: every augmentation of every
+    graph of the level before is labelled."""
+    if n_max < 1:
+        return
+    level: list[Graph] = [Graph.from_edges(1)]
+    yield level[0]
+    for size in range(2, n_max + 1):
+        seen: set[frozenset[tuple[int, int]]] = set()
+        nxt: list[Graph] = []
+        for g in level:
+            for mask in range(1, 1 << g.n):
+                edges = list(g.edges) + [
+                    (v, g.n) for v in range(g.n) if (mask >> v) & 1
+                ]
+                h = canonical_form(Graph.from_edges(g.n + 1, edges))
+                if h.edges not in seen:
+                    seen.add(h.edges)
+                    nxt.append(h)
+        nxt.sort(key=lambda h: sorted(h.edges))
+        yield from nxt
+        level = nxt
+
+
+def to_graph6(g: Graph) -> str:
+    """Encode in the standard graph6 format (n <= 62)."""
+    if g.n > 62:
+        raise ValueError("graph6 small form supports n <= 62 only")
+    bits: list[int] = []
+    for j in range(1, g.n):
+        for i in range(j):
+            bits.append(1 if g.has_edge(i, j) else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    chars = [chr(63 + g.n)]
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i : i + 6]:
+            val = (val << 1) | b
+        chars.append(chr(63 + val))
+    return "".join(chars)
 
 
 def backtrack_automorphism_count(g: Graph) -> int:

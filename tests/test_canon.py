@@ -11,16 +11,17 @@ from kconnkit.canon import (
     canonical_perm,
     connected_graphs,
     is_isomorphic,
-    to_graph6,
 )
 from kconnkit.graph_core import Graph, complete_graph, cycle_graph, path_graph
 from kconnkit.typical_gen import GoodSequence, gen_complete_bipartite, gen_degenerate_frayed
 from oracles import (
+    all_masks_connected_graphs,
     backtrack_automorphism_count,
     full_refine,
     labeled_connected_count,
     outcome,
     random_graph,
+    to_graph6,
     unpruned_canonical_perm,
 )
 
@@ -67,10 +68,24 @@ def test_automorphism_counts_known():
 
 def test_enumeration_counts_small():
     counts = {}
-    for g in connected_graphs(5):
+    for g in connected_graphs(7):
         counts[g.n] = counts.get(g.n, 0) + 1
-    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
     assert list(connected_graphs(0)) == []
+
+
+def test_enumeration_matches_the_all_masks_oracle():
+    # The filtered enumeration yields the very graphs, in the very order, of
+    # labelling every augmentation.
+    assert list(connected_graphs(6)) == list(all_masks_connected_graphs(6))
+
+
+def test_enumeration_labels_only_the_filtered_augmentations():
+    # Labelling all 759 augmentations up to n = 6 is what the filter avoids.
+    canon._canonical.cache_clear()
+    canonical_perm.cache_clear()
+    list(connected_graphs(6))
+    assert canon._canonical.cache_info().misses <= 379
 
 
 def test_enumeration_cross_checked_by_labeled_counting():
@@ -265,6 +280,13 @@ def test_isomorphic_pairs_pass_the_degree_precheck():
             lambda: to_graph6(path_graph(63)), "graph6 small form supports n <= 62 only", id="graph6-n-63"
         ),
         pytest.param(lambda: to_graph6(path_graph(62))[0], chr(63 + 62), id="graph6-n-62"),
+        pytest.param(
+            lambda: list(connected_graphs(True)), "expected an integer, got True", id="enumeration-bool-n-max"
+        ),
+        pytest.param(
+            lambda: list(connected_graphs(2.0)), "expected an integer, got 2.0", id="enumeration-float-n-max"
+        ),
+        pytest.param(lambda: list(connected_graphs(-1)), [], id="enumeration-negative-n-max"),
     ],
 )
 def test_canon_rejections(call, expected):

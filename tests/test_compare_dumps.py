@@ -40,10 +40,12 @@ def _changed(edit) -> dict:
         pytest.param(lambda r: r["calls"][1].update(id="c9"), ["c1"], id="id"),
         pytest.param(lambda r: r["calls"].pop(), ["c1"], id="missing-call"),
         pytest.param(lambda r: r["calls"].append({"id": "c2"}), ["c2"], id="extra-call"),
-        pytest.param(lambda r: r.update(flow_cache=[1, 2, 4]), ["flow_cache"], id="flow-cache"),
+        pytest.param(
+            lambda r: r.update(flow_cache=[1, 2, 4]), ["flow_cache [1, 2, 3] -> [1, 2, 4]"], id="flow-cache"
+        ),
         pytest.param(
             lambda r: (r.update(perm_cache=[1, 4, 4]), r["calls"][0].update(out={})),
-            ["perm_cache", "c0"],
+            ["perm_cache [0, 4, 4] -> [1, 4, 4]", "c0"],
             id="counter-and-call",
         ),
     ],
@@ -60,13 +62,13 @@ def test_main_reports_each_pass_and_fails_on_a_difference(tmp_path, monkeypatch,
 
     def fake_worker(root, workload, seed):
         if root == change and seed == bad_seed:
-            return _changed(lambda r: r["calls"][0]["out"].update(ok=False))
+            return _changed(lambda r: (r.update(perm_cache=[1, 4, 4]), r["calls"][0]["out"].update(ok=False)))
         return REPORT
 
     monkeypatch.setattr(compare_dumps, "run_worker", fake_worker)
     assert compare_dumps.main([str(parent), str(change)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"w pass seed {compare_dumps.PASS_SEEDS[0]}: 2 calls, identical"
-    assert lines[1] == f"w pass seed {bad_seed}: 2 calls, differ: c0"
+    assert lines[1] == f"w pass seed {bad_seed}: 2 calls, differ: perm_cache [0, 4, 4] -> [1, 4, 4]; c0"
     monkeypatch.setattr(compare_dumps, "run_worker", lambda root, workload, seed: REPORT)
     assert compare_dumps.main([str(parent), str(change)]) == 0

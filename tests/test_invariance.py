@@ -9,7 +9,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from kconnkit.canon import automorphism_count, to_graph6
+from kconnkit.canon import automorphism_count
 from kconnkit.duality import check_duality
 from kconnkit.graph_core import Graph, components
 from kconnkit.kconn import is_k_connected, max_k_connected_subset, star_or_path
@@ -21,6 +21,7 @@ from oracles import (
     check_star_or_path,
     min_separator_size,
     pair_scan_is_k_connected,
+    to_graph6,
 )
 
 # Erfg in graph6: a graph whose 4-lean decomposition from build_k_lean_td
