@@ -207,9 +207,8 @@ def connected_graphs(n_max: int) -> Iterator[Graph]:
     deleting a non-cut vertex of largest invariant leaves a connected graph
     of the level before, and attaching it back passes the filter (the
     module docstring has the argument).  The ``seen`` set drops the repeats
-    among the labelled augmentations.  Output is
-    deterministic, ordered by (vertex count, canonical edge key);
-    ``n_max < 1`` yields nothing.
+    among the labelled augmentations.  Output is deterministic, ordered by
+    (vertex count, canonical edge key); ``n_max < 1`` yields nothing.
     """
     if _check_int(n_max) < 1:
         return

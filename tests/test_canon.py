@@ -286,7 +286,6 @@ def test_isomorphic_pairs_pass_the_degree_precheck():
         pytest.param(
             lambda: list(connected_graphs(2.0)), "expected an integer, got 2.0", id="enumeration-float-n-max"
         ),
-        pytest.param(lambda: list(connected_graphs(-1)), [], id="enumeration-negative-n-max"),
     ],
 )
 def test_canon_rejections(call, expected):
