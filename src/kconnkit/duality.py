@@ -18,7 +18,8 @@ state is a component alone, since its interface is its neighbourhood.
 Both exact searches work on vertex bitmasks and share one kernel,
 ``graph_core.component_masks``: the components of a vertex mask, each with
 its neighbourhood mask.  The min-max search calls it once per remainder
-of a candidate part, the tree-width DP once per eliminated set.
+of a candidate part, to decide whether the part is feasible before costing
+it; the tree-width DP once per eliminated set it does not prune.
 
 The bounds ``verify_sec1_bounds`` checks are those of Diestel, Jensen,
 Gorbunov & Thomassen, JCTB 75 (1999), and Geelen & Joeris,
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from .graph_core import Graph, SizeGuardError, _bits, _check_int, check_k, check_vertices
 from .graph_core import component_masks
@@ -60,8 +61,14 @@ def _min_max_decomposition(
     a component of ``comp - part``, so its neighbours lie in ``part``.  States
     and parts are vertex masks.  The extra vertices of a part are tried by
     size, then lexicographically, and the first strictly better part wins.
-    Each part's cost, and the split of each remainder ``comp - part`` into
-    child regions, is computed once per call.  Returns the optimum value
+
+    A part is feasible when every component of the remainder ``comp - part``
+    has fewer than k neighbours.  That verdict, with the split of the
+    remainder into child regions, is decided once per remainder and before
+    the part is costed; only feasible parts are costed, each once per call.
+    Skipping the others keeps the value and the witness: an infeasible part
+    never wins, and a memo entry does not depend on when its state is first
+    reached.  No monotone cost is assumed.  Returns the optimum value
     together with a witnessing decomposition.
     """
     if g.n == 0:
@@ -73,7 +80,8 @@ def _min_max_decomposition(
     masks = g.adjacency_masks
     memo: dict[int, tuple[int, tuple]] = {}
     part_costs: dict[int, int] = {}
-    splits: dict[int, list[tuple[int, int]]] = {}
+    # the child regions of a remainder, or None if one has k or more neighbours
+    splits: dict[int, list[tuple[int, int]] | None] = {}
 
     def best_for(interface: int, comp: int) -> tuple[int, tuple]:
         if comp in memo:
@@ -84,30 +92,28 @@ def _min_max_decomposition(
         for size in range(1, len(singles) + 1):
             for extra in combinations(singles, size):
                 extra_mask = sum(extra)
+                rest = comp & ~extra_mask
+                if rest not in splits:
+                    split = component_masks(masks, rest)
+                    splits[rest] = None if any(nb.bit_count() >= k for _, nb in split) else split
+                split = splits[rest]
+                if split is None:
+                    continue
                 part = interface | extra_mask
                 part_cost = part_costs.get(part)
                 if part_cost is None:
                     part_cost = part_costs[part] = cost(frozenset(_bits(part)))
                 if part_cost >= best_val:
                     continue
-                rest = comp & ~extra_mask
-                split = splits.get(rest)
-                if split is None:
-                    split = splits[rest] = component_masks(masks, rest)
                 val = part_cost
                 children = []
-                feasible = True
                 for child_comp, child_if in split:
-                    if child_if.bit_count() >= k:
-                        feasible = False
-                        break
                     child_val, child_struct = best_for(child_if, child_comp)
                     val = max(val, child_val)
-                    children.append(child_struct)
                     if val >= best_val:
-                        feasible = False
                         break
-                if feasible and val < best_val:
+                    children.append(child_struct)
+                else:
                     best_val = val
                     best_struct = (part, tuple(children))
         if best_struct is None:
@@ -153,15 +159,64 @@ def k_tree_width(g: Graph, k: int) -> int:
     return value
 
 
-def tree_width(g: Graph) -> int:
-    """Exact tree-width via the elimination-ordering subset DP.
+def _min_degree_width(masks: Sequence[int]) -> int:
+    """Width of the elimination order that always takes a vertex of least
+    degree (the smallest such): an upper bound on tree-width."""
+    adj = list(masks)
+    left = (1 << len(adj)) - 1
+    width = 0
+    while left:
+        v = min(_bits(left), key=lambda u: adj[u].bit_count())
+        nb = adj[v]
+        width = max(width, nb.bit_count())
+        for u in _bits(nb):
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+        left ^= 1 << v
+    return width
 
-    ``f[S]`` is the least width of an order that eliminates S first.
-    Eliminating v after S costs the number of vertices outside S + v that v
-    reaches through S: its own neighbours and those of every component of
-    G[S] it touches.  The DP pushes: once ``f[S]`` is final, the components
-    of G[S] are found once, with their neighbourhoods, and ``f[S + v]`` is
-    relaxed for every v outside S.
+
+def _contraction_degeneracy(masks: Sequence[int]) -> int:
+    """Largest least degree met while contracting a vertex of least degree
+    into its neighbour of least degree (the smallest of each): a lower bound
+    on tree-width, since each graph met is a minor of the first."""
+    adj = list(masks)
+    left = (1 << len(adj)) - 1
+    bound = 0
+    while left & (left - 1):
+        v = min(_bits(left), key=lambda u: adj[u].bit_count())
+        nb = adj[v]
+        bound = max(bound, nb.bit_count())
+        if nb:
+            u = min(_bits(nb), key=lambda w: adj[w].bit_count())
+            merged = (adj[u] | nb) & ~(1 << u | 1 << v)
+            for w in _bits(nb):
+                adj[w] &= ~(1 << v)
+            for w in _bits(merged):
+                adj[w] |= 1 << u
+            adj[u] = merged
+        left ^= 1 << v
+    return bound
+
+
+def tree_width(g: Graph) -> int:
+    """Exact tree-width: two greedy bounds, then the elimination-ordering
+    subset DP if they differ.
+
+    The upper bound ``ub`` is the width of the min-degree elimination order,
+    the lower bound the contraction degeneracy (Bodlaender & Koster,
+    *Treewidth computations I. Upper bounds*, Inf. Comput. 208, 2010, and
+    *II. Lower bounds*, Inf. Comput. 209, 2011).  When they meet, that is
+    the tree-width.
+
+    Otherwise ``f[S]`` is the least width of an order that eliminates S
+    first.  Eliminating v after S costs the number of vertices outside S + v
+    that v reaches through S: its own neighbours and those of every
+    component of G[S] it touches.  The DP pushes: once ``f[S]`` is final,
+    the components of G[S] are found once, with their neighbourhoods, and
+    ``f[S + v]`` is relaxed for every v outside S.  A state with
+    ``f[S] >= ub`` is skipped: no order through it beats ``ub``, and if the
+    tree-width is below ``ub``, every state on an optimal order is reached
+    below ``ub``.  So the answer is ``min(f[V], ub)``.
     """
     if g.n > _MAX_TREE_WIDTH_N:
         raise SizeGuardError(
@@ -171,11 +226,16 @@ def tree_width(g: Graph) -> int:
     if n == 0:
         return -1
     masks = g.adjacency_masks
+    ub = _min_degree_width(masks)
+    if _contraction_degeneracy(masks) == ub:
+        return ub
     full = (1 << n) - 1
     f = [n] * (1 << n)
     f[0] = 0
     for s in range(full):
         f_s = f[s]
+        if f_s >= ub:
+            continue
         # reach[v]: the neighbours of v and of each component of G[s] next to v
         reach = list(masks)
         for _, nb in component_masks(masks, s):
@@ -190,7 +250,7 @@ def tree_width(g: Graph) -> int:
             cand = max(f_s, (reach[b.bit_length() - 1] & outside & ~b).bit_count())
             if cand < f[t]:
                 f[t] = cand
-    return f[full]
+    return min(f[full], ub)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from kconnkit import duality
 from kconnkit.canon import connected_graphs
 from kconnkit.duality import (
+    _contraction_degeneracy,
+    _min_degree_width,
     _min_max_decomposition,
     check_duality,
     k_tree_width,
@@ -19,6 +21,7 @@ from kconnkit.graph_core import (
     SizeGuardError,
     complete_bipartite_graph,
     complete_graph,
+    cycle_graph,
     menger_count,
     path_graph,
 )
@@ -78,12 +81,55 @@ def test_min_max_matches_frozenset_search():
     assert cases == 143 * 4 * 3
 
 
-def test_tree_width_matches_pull_dp():
+def test_min_max_matches_frozenset_search_past_n6():
+    # same value and decomposition on seeded hosts with n = 8-9, for the
+    # k_tree_width cost and for separability from a seeded A
+    rng = random.Random(7304)
+    for i in range(12):
+        g = random_connected_graph(rng, 8 + i % 2, rng.choice((0.25, 0.35, 0.45)))
+        a = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        for k in range(2, 5):
+            for cost in (len, lambda p, g=g, a=a: menger_count(g, a, p)):
+                want = frozenset_min_max_decomposition(g, k, cost)
+                assert _min_max_decomposition(g, k, cost) == want, (g, a, k)
+
+
+def test_min_max_costs_only_feasible_parts():
+    # in C6 every part but a single vertex or V leaves arcs with two
+    # neighbours each: with k = 2 only those 7 parts are costed, with k = 3
+    # all 63 are
+    g = cycle_graph(6)
+    for k, want in ((2, {frozenset({v}) for v in range(6)} | {g.vertex_set}), (3, None)):
+        costed = []
+
+        def cost(p):
+            costed.append(p)
+            return len(p)
+
+        _min_max_decomposition(g, k, cost)
+        assert len(costed) == len(set(costed))
+        if want is None:
+            assert len(costed) == 63
+        else:
+            assert set(costed) == want
+
+
+def test_tree_width_matches_pull_dp(monkeypatch):
+    # the contraction degeneracy and the min-degree width bracket the
+    # tree-width; where they differ, the pruned DP runs and must agree
+    monkeypatch.setattr(duality, "_MAX_TREE_WIDTH_N", 12)
     rng = random.Random(7302)
-    hosts = list(connected_graphs(7)) + [grid_graph(3, 3)]
+    hosts = list(connected_graphs(7)) + [grid_graph(3, 3), grid_graph(3, 4)]
     hosts += [random_connected_graph(rng, n, p) for n in (9, 10) for p in (0.2, 0.4, 0.6)]
+    hosts += [random_connected_graph(rng, 9 + i % 2, rng.uniform(0.2, 0.6)) for i in range(40)]
+    dp_hosts = 0
     for g in hosts:
-        assert tree_width(g) == pull_tree_width(g), g
+        want = pull_tree_width(g, size_guard=12)
+        lower, upper = _contraction_degeneracy(g.adjacency_masks), _min_degree_width(g.adjacency_masks)
+        assert lower <= want <= upper, g
+        assert tree_width(g) == want, g
+        dp_hosts += lower < upper
+    assert dp_hosts > 0
 
 
 def test_duality_census():
