@@ -11,7 +11,7 @@ checks s' - (k - 1) <= v <= s' and counts v - s' per (A kind, k).
 The upper bound says that whenever no k-connected m-set exists (s' < m),
 the optimal decomposition is a certificate for m.
 
-Write the table for n <= 7 (about 17 s and 29 MB peak RSS on a 2-vCPU VM) with::
+Write the table for n <= 7 (17-23 s and 29 MB peak RSS on a 2-vCPU VM) with::
 
     PYTHONPATH=src python tests/duality_census.py 7 > DUALITY_CENSUS.json
 """
