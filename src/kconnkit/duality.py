@@ -15,11 +15,12 @@ by the child's root part.  Any decomposition can be normalised into this
 shape without increasing part sizes, so the recursion is exhaustive.  A
 state is a component alone, since its interface is its neighbourhood.
 
-Both exact searches work on vertex bitmasks and share one kernel,
-``graph_core.component_masks``: the components of a vertex mask, each with
-its neighbourhood mask.  The min-max search calls it once per remainder
-of a candidate part, to decide whether the part is feasible before costing
-it; the tree-width DP once per eliminated set it does not prune.
+The min-max search is the one exact width search: ``k_tree_width``,
+``check_duality`` and ``verify_sec1_bounds`` run it, and so does
+``tree_width`` when its greedy bounds differ.  It works on vertex bitmasks
+and calls ``graph_core.component_masks`` (the components of a vertex mask,
+each with its neighbourhood mask) once per remainder of a candidate part,
+to decide whether the part is feasible before costing it.
 
 The bounds ``verify_sec1_bounds`` checks are those of Diestel, Jensen,
 Gorbunov & Thomassen, JCTB 75 (1999), and Geelen & Joeris,
@@ -41,11 +42,9 @@ from .graph_core import menger_count as min_separator_size  # equal by Menger's 
 from .kconn import is_k_connected, max_k_connected_subset
 from .sepsys import TreeDecomposition, validate_td
 
-# Size guards: the most vertices k_tree_width, check_duality and
-# verify_sec1_bounds accept (their decomposition search is exhaustive), and
-# the most tree_width's DP over all 2^n vertex subsets accepts.
-_MAX_EXACT_N = 8
-_MAX_TREE_WIDTH_N = 10
+# Size guard: the most vertices the exhaustive min-max search accepts, and
+# so every caller that reaches it.
+_MAX_EXACT_N = 10
 
 # ---------------------------------------------------------------------------
 # Exact min-max search over adhesion-bounded decompositions
@@ -71,6 +70,10 @@ def _min_max_decomposition(
     reached.  No monotone cost is assumed.  Returns the optimum value
     together with a witnessing decomposition.
     """
+    if g.n > _MAX_EXACT_N:
+        raise SizeGuardError(
+            f"exact decomposition search limited to n <= _MAX_EXACT_N = {_MAX_EXACT_N}"
+        )
     if g.n == 0:
         return 0, TreeDecomposition(Graph.from_edges(1), (frozenset(),))
     if k <= 0:
@@ -151,8 +154,6 @@ def _min_max_decomposition(
 def k_tree_width(g: Graph, k: int) -> int:
     """Minimum over adhesion-<k tree-decompositions of the largest part size."""
     check_k(k)
-    if g.n > _MAX_EXACT_N:
-        raise SizeGuardError(f"k_tree_width exact search limited to n <= _MAX_EXACT_N = {_MAX_EXACT_N}")
     value, td = _min_max_decomposition(g, k, len)
     if not validate_td(g, td) or any(len(s) >= k for s in td.adhesion_sets()):
         raise AssertionError("witness decomposition failed validation")
@@ -199,58 +200,22 @@ def _contraction_degeneracy(masks: Sequence[int]) -> int:
 
 
 def tree_width(g: Graph) -> int:
-    """Exact tree-width: two greedy bounds, then the elimination-ordering
-    subset DP if they differ.
+    """Exact tree-width: two greedy bounds, then the min-max search if they
+    differ.
 
-    The upper bound ``ub`` is the width of the min-degree elimination order,
-    the lower bound the contraction degeneracy (Bodlaender & Koster,
-    *Treewidth computations I. Upper bounds*, Inf. Comput. 208, 2010, and
-    *II. Lower bounds*, Inf. Comput. 209, 2011).  When they meet, that is
-    the tree-width.
-
-    Otherwise ``f[S]`` is the least width of an order that eliminates S
-    first.  Eliminating v after S costs the number of vertices outside S + v
-    that v reaches through S: its own neighbours and those of every
-    component of G[S] it touches.  The DP pushes: once ``f[S]`` is final,
-    the components of G[S] are found once, with their neighbourhoods, and
-    ``f[S + v]`` is relaxed for every v outside S.  A state with
-    ``f[S] >= ub`` is skipped: no order through it beats ``ub``, and if the
-    tree-width is below ``ub``, every state on an optimal order is reached
-    below ``ub``.  So the answer is ``min(f[V], ub)``.
+    The upper bound is the width of the min-degree elimination order, the
+    lower bound the contraction degeneracy (Bodlaender & Koster, *Treewidth
+    computations I. Upper bounds*, Inf. Comput. 208, 2010, and *II. Lower
+    bounds*, Inf. Comput. 209, 2011).  When they meet, that is the
+    tree-width.  Otherwise it is the min-max largest part size, less one,
+    at adhesion below n + 1, where adhesion is unbounded.
     """
-    if g.n > _MAX_TREE_WIDTH_N:
-        raise SizeGuardError(
-            f"tree_width exact search limited to n <= _MAX_TREE_WIDTH_N = {_MAX_TREE_WIDTH_N}"
-        )
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return -1
-    masks = g.adjacency_masks
-    ub = _min_degree_width(masks)
-    if _contraction_degeneracy(masks) == ub:
+    ub = _min_degree_width(g.adjacency_masks)
+    if _contraction_degeneracy(g.adjacency_masks) == ub:
         return ub
-    full = (1 << n) - 1
-    f = [n] * (1 << n)
-    f[0] = 0
-    for s in range(full):
-        f_s = f[s]
-        if f_s >= ub:
-            continue
-        # reach[v]: the neighbours of v and of each component of G[s] next to v
-        reach = list(masks)
-        for _, nb in component_masks(masks, s):
-            for v in _bits(nb):
-                reach[v] |= nb
-        outside = full & ~s
-        m = outside
-        while m:
-            b = m & -m
-            m ^= b
-            t = s | b
-            cand = max(f_s, (reach[b.bit_length() - 1] & outside & ~b).bit_count())
-            if cand < f[t]:
-                f[t] = cand
-    return min(f[full], ub)
+    return _min_max_decomposition(g, g.n + 1, len)[0] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +259,20 @@ def check_duality(g: Graph, a, k: int, m: int) -> DualityReport:
     parts can all be separated from ``a`` by fewer than m vertices.  Both
     searches are exhaustive; neither side is inferred from the other.
     """
-    if g.n > _MAX_EXACT_N:
-        raise SizeGuardError(f"check_duality limited to n <= _MAX_EXACT_N = {_MAX_EXACT_N}")
+    fa = check_vertices(g, a)
     check_k(k)
     if _check_int(m) < k:
         raise ValueError("m must be at least k")
-    fa = frozenset(a)
-    subset = max_k_connected_subset(g, fa, k)
-    set_cert = subset.vertices if subset.vertices is not None and subset.size >= m else None
-    if set_cert is not None and not is_k_connected(g, set_cert, k).ok:
-        raise AssertionError("set certificate failed re-verification")
-
     value, td = _min_max_decomposition(g, k, lambda p: min_separator_size(g, fa, p))
     separability = tuple(min_separator_size(g, fa, p) for p in td.parts)
     td_cert = td if value < m else None
     if td_cert is not None and not verify_td_certificate(g, fa, k, m, td_cert):
         raise AssertionError("decomposition certificate failed re-verification")
+
+    subset = max_k_connected_subset(g, fa, k)
+    set_cert = subset.vertices if subset.vertices is not None and subset.size >= m else None
+    if set_cert is not None and not is_k_connected(g, set_cert, k).ok:
+        raise AssertionError("set certificate failed re-verification")
     return DualityReport(
         k=k,
         m=m,
@@ -342,11 +305,9 @@ class SectionBoundsReport:
 
 def verify_sec1_bounds(g: Graph, k: int) -> SectionBoundsReport:
     """Evaluate the two classical connectivity/width bounds on one graph."""
-    if g.n > _MAX_EXACT_N:
-        raise SizeGuardError(f"verify_sec1_bounds limited to n <= _MAX_EXACT_N = {_MAX_EXACT_N}")
+    w = k_tree_width(g, k)
     s_big = max_k_connected_subset(g, g.vertex_set, k + 1).size
     s_prime = max_k_connected_subset(g, g.vertex_set, k).size
-    w = k_tree_width(g, k)
     tw = tree_width(g)
     djgt_lower = (s_big < 3 * k) or (tw >= k)
     djgt_upper = (s_big >= 3 * k) or (tw < 4 * k)

@@ -9,7 +9,9 @@ tree-decompositions (the largest entry of ``separability``).  The census
 checks s' - (k - 1) <= v <= s' and counts v - s' per (A kind, k).
 
 The upper bound says that whenever no k-connected m-set exists (s' < m),
-the optimal decomposition is a certificate for m.
+the optimal decomposition is a certificate for m.  The lower bound is not a
+theorem: it is observed for n <= 7 but fails on 12 cases at n = 8 (all with
+A = V, k = 3, s' = 6 and v = 3), while v <= s' held everywhere.
 
 Write the table for n <= 7 (17-23 s and 29 MB peak RSS on a 2-vCPU VM) with::
 
@@ -49,7 +51,8 @@ def census_cases(
 
 
 def bounds_hold(k: int, report: DualityReport) -> bool:
-    """s' - (k - 1) <= v <= s'."""
+    """s' - (k - 1) <= v <= s'.  The upper bound held on every case; the
+    lower one is observed for n <= 7 and fails on 12 cases at n = 8."""
     s_prime = report.max_kconn
     return s_prime - (k - 1) <= max(report.separability) <= s_prime
 

@@ -26,6 +26,12 @@ from kconnkit.graph_core import (
     path_graph,
 )
 from kconnkit.sepsys import TreeDecomposition, validate_td
+from kconnkit.typical_gen import (
+    GoodSequence,
+    gen_complete_bipartite,
+    gen_degenerate_frayed,
+    two_bipartite_matched,
+)
 from duality_census import bounds_hold, census_cases
 from oracles import (
     frozenset_min_max_decomposition,
@@ -57,6 +63,9 @@ def test_tree_width_known_values():
     assert tree_width(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])) == 1
     assert tree_width(grid_graph(3, 3)) == 3
     assert tree_width(Graph.from_edges(1)) == 0
+    # past the size guard: the greedy bounds meet, so no search runs
+    assert tree_width(complete_graph(11)) == 10
+    assert tree_width(grid_graph(4, 4)) == 4
     assert tree_width(Graph.from_edges(0)) == -1
 
 
@@ -114,10 +123,9 @@ def test_min_max_costs_only_feasible_parts():
             assert len(costed) == 63
 
 
-def test_tree_width_matches_pull_dp(monkeypatch):
+def test_tree_width_matches_pull_dp():
     # the contraction degeneracy and the min-degree width bracket the
-    # tree-width; where they differ, the pruned DP runs and must agree
-    monkeypatch.setattr(duality, "_MAX_TREE_WIDTH_N", 12)
+    # tree-width; where they differ, the min-max search runs and must agree
     rng = random.Random(7302)
     hosts = list(connected_graphs(7)) + [grid_graph(3, 3), grid_graph(3, 4)]
     hosts += [random_connected_graph(rng, n, p) for n in (9, 10) for p in (0.2, 0.4, 0.6)]
@@ -134,7 +142,10 @@ def test_tree_width_matches_pull_dp(monkeypatch):
 
 def test_duality_census():
     # s' - (k - 1) <= v <= s' on every connected graph with n <= 6, for A = V
-    # and a seeded A; since v <= s', the optimal decomposition certifies m = s' + 1
+    # and a seeded A; since v <= s', the optimal decomposition certifies m = s' + 1.
+    # The lower bound is only observed: it holds for n <= 7 but fails on 12
+    # cases at n = 8 (test_census_lower_bound_fails_at_n8), while v <= s' held
+    # everywhere
     cases = 0
     for g, _, a, k, report in census_cases(6):
         assert bounds_hold(k, report), (g, a, k, report.max_kconn, report.separability)
@@ -143,22 +154,40 @@ def test_duality_census():
     assert cases == 1130
 
 
+def test_census_lower_bound_fails_at_n8():
+    # the first n = 8 case where s' - (k - 1) <= v fails: a 3-connected set
+    # of 6 vertices, yet a decomposition whose parts have at most 3 vertices
+    g = Graph.from_edges(
+        8, [(0, 1), (0, 6), (1, 7), (2, 4), (2, 6), (3, 5), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7)]
+    )
+    report = check_duality(g, g.vertex_set, 3, 3)
+    assert (report.max_kconn, max(report.separability), report.ktw, report.tw) == (6, 3, 3, 2)
+    assert not bounds_hold(3, report)
+    assert max(report.separability) <= report.max_kconn
+
+
 def test_tree_width_guard():
+    # n = 11 with greedy bounds 4 and 5, so the min-max search is needed
     with pytest.raises(SizeGuardError):
-        tree_width(complete_graph(11))
+        tree_width(random_connected_graph(random.Random(4), 11, 0.3))
 
 
-def test_size_guards_name_their_constants():
-    with pytest.raises(SizeGuardError, match="n <= _MAX_TREE_WIDTH_N = 10"):
-        tree_width(complete_graph(11))
-    g = path_graph(9)
-    for search in (
-        lambda: k_tree_width(g, 2),
-        lambda: check_duality(g, g.vertex_set, 2, 2),
-        lambda: verify_sec1_bounds(g, 2),
-    ):
-        with pytest.raises(SizeGuardError, match="n <= _MAX_EXACT_N = 8"):
-            search()
+def test_size_guards_name_their_constants(monkeypatch):
+    # oversized input fails at once: the guard comes before any subset search
+    def no_subset_search(*args):
+        raise AssertionError("subset search ran before the size guard")
+
+    monkeypatch.setattr(duality, "max_k_connected_subset", no_subset_search)
+    with pytest.raises(SizeGuardError, match="n <= _MAX_EXACT_N = 10"):
+        tree_width(random_connected_graph(random.Random(4), 11, 0.3))
+    for g in (path_graph(11), path_graph(30)):
+        for search in (
+            lambda: k_tree_width(g, 2),
+            lambda: check_duality(g, g.vertex_set, 2, 2),
+            lambda: verify_sec1_bounds(g, 2),
+        ):
+            with pytest.raises(SizeGuardError, match="n <= _MAX_EXACT_N = 10"):
+                search()
 
 
 def test_k_tree_width_complete_graph():
@@ -296,6 +325,33 @@ def test_duality_certificates_pass_the_oracles(data):
     assert report.separability == tuple(min_separator_size(g, a, p) for p in report.best_td.parts)
 
 
+@pytest.mark.parametrize(
+    "cmg, k, tw",
+    [
+        pytest.param(gen_complete_bipartite(2, 7), 2, 2, id="K(2,7)"),
+        pytest.param(gen_complete_bipartite(2, 8), 2, 2, id="K(2,8)"),
+        pytest.param(gen_complete_bipartite(3, 6), 3, 3, id="K(3,6)"),
+        pytest.param(gen_complete_bipartite(3, 7), 3, 3, id="K(3,7)"),
+        pytest.param(two_bipartite_matched(3), 3, 3, id="two_bipartite_matched(3)"),
+    ],
+)
+def test_check_duality_on_typical_graphs(cmg, k, tw):
+    # the core is a k-connected set: no decomposition certifies |core|, and
+    # every adhesion-<k decomposition keeps all of V in one part
+    g, core = cmg.graph, frozenset(cmg.core)
+    report = check_duality(g, core, k, len(core))
+    assert report.set_certificate is not None and report.td_certificate is None
+    assert max(report.separability) == report.max_kconn == len(core)
+    assert (report.ktw, report.tw) == (g.n, tw)
+
+
+def test_check_duality_past_the_guard_on_a_typical_graph():
+    cmg = gen_degenerate_frayed(2, 0, GoodSequence((2, 3)))
+    assert cmg.graph.n == 11
+    with pytest.raises(SizeGuardError, match="n <= _MAX_EXACT_N = 10"):
+        check_duality(cmg.graph, cmg.core, 2, len(cmg.core))
+
+
 def test_check_duality_rejects_m_below_k():
     with pytest.raises(ValueError):
         check_duality(path_graph(4), {0, 1}, 2, 1)
@@ -316,8 +372,7 @@ def test_sec1_bounds_tree_k1():
     assert rep.gj_upper_ok is None  # upper bound only stated for k >= 2
 
 
-def test_sec1_bounds_grid(monkeypatch):
-    monkeypatch.setattr(duality, "_MAX_EXACT_N", 9)
+def test_sec1_bounds_grid():
     rep = verify_sec1_bounds(grid_graph(3, 3), 2)
     assert rep.tw == 3
     assert rep.djgt_lower_ok and rep.djgt_upper_ok

@@ -90,8 +90,8 @@ def test_size_guards_name_their_budget(path):
 
 def test_every_guard_is_checked():
     """No guard escapes the lint by being spelled another way, and today's
-    seven are all there."""
+    four are all there."""
     texts = [path.read_text() for path in MODULES]
     spelled = sum(len(re.findall(r"(?<!class )SizeGuardError\(", t)) for t in texts)
     checked = sum(len(size_guards(t)) for t in texts)
-    assert checked == spelled >= 7
+    assert checked == spelled >= 4
