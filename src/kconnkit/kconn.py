@@ -16,13 +16,30 @@ z2`` has s vertices it is the separator (route a), and one search per vertex
 u of z1, in ``g - (z1 - u)``, decides every such pair of that z1; otherwise
 the order-s separators decide it (route b).  Only the witness separator of
 :func:`is_k_connected` comes from a flow.
+
+A level is read from a per-host table that holds the tight separators only
+(see :func:`_violating_separators` for when a scan enumerates its own): S is
+tight when every vertex of S has neighbours in at least two components of
+``g - S``.  At the least violating order s every violating separator is
+tight.  Let (C, D) violate with separator S, and let x in S have no
+neighbour in C - S.  Then (C - x, D) is a separation of order s - 1, with at
+least s > s - 1 vertices of ``p1`` in C - x and more than s of ``p2`` in D,
+so it violates at order s - 1, against the choice of s.  So x has a
+neighbour in C - S and, by symmetry, one in D - S, which lie in distinct
+components of ``g - S``.  Below s nothing violates, so reading only tight
+sets at every order changes neither the least violating order nor the
+separators of that order that route b tests.  Tightness depends on ``g``
+alone, so each order's tight separators are found once per host
+(:func:`_tight_separators`).
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 # menger and menger_count are unused here but kept: the benchmark's tracer
 # wraps kconn.menger and kconn.menger_count.
@@ -32,9 +49,11 @@ from .graph_core import (
     _bits,
     _disjoint_paths,
     _check_int,
+    _mask_of,
     _min_cut,
     check_k,
     check_vertices,
+    component_masks,
     menger,  # noqa: F401
     menger_count,  # noqa: F401
     reachable_mask,
@@ -94,17 +113,18 @@ def first_failed_pair(
     pair (route a, one search per such vertex of z1); otherwise the
     pair fails iff some violating separator of order s leaves no component
     meeting both ``z1 - S`` and ``z2 - S`` (route b), the rest of that level
-    being enumerated only while no separator found so far splits the pair.  A
-    level is enumerated T-then-U (see :func:`_violating_separators`), which
-    cannot change the witness: each pair, in its fixed order, asks only
-    whether some separator of level s splits it.
+    being enumerated only while no separator found so far splits the pair.
+    A level is read from the demand or from the host's table of tight
+    separators (see :func:`_violating_separators`), which cannot change the
+    witness: each pair, in its fixed order, asks only whether some separator
+    of level s splits it.
     """
     top = min(top, len(p1), len(p2))
     level = _smallest_violating_order(g, p1, p2, top)
     return None if level is None else _first_split_pair(g, p1, p2, *level)
 
 
-_Separator = list[int]  # S given by the components of g - S that meet p1 | p2, as masks
+_Separator = Sequence[int]  # S given by components of g - S (those meeting p1 | p2 at least), as masks
 
 
 def _first_split_pair(
@@ -181,21 +201,67 @@ def _smallest_violating_order(
     return None
 
 
+# The orders at which each host was scanned once by a small demand (see _violating_separators).
+_scanned: weakref.WeakKeyDictionary[Graph, set[int]] = weakref.WeakKeyDictionary()
+
+
 def _violating_separators(
     g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
 ) -> Iterator[_Separator]:
     """Each separator S of s vertices of a separation (C, D) with more than s
-    vertices of ``p1`` in C and more than s of ``p2`` in D, as the components
+    vertices of ``p1`` in C and more than s of ``p2`` in D, as components of
+    ``g - S`` (those meeting ``p1 | p2`` at least).
+
+    The host's table of tight separators (:func:`_tight_separators`) costs
+    every s-set of ``g`` once, and later scans read it almost free.  A demand
+    with ``len(p1 | p2) >= 2s + 2`` passes every s-set through its count
+    bound, so it builds the table at no extra cost.  A smaller demand rules
+    most s-sets out, so the first such scan of a host at order s enumerates S
+    for itself (:func:`_demand_separators`), and a second one, as a k-lean
+    build or :func:`max_k_connected_subset` makes, builds the table.  Both
+    give the same least violating order and the same separators at it (see
+    the module docstring).
+    """
+    if 2 * s + 2 > len(p1 | p2):
+        seen = _scanned.setdefault(g, set())
+        if s not in seen:
+            seen.add(s)
+            return _demand_separators(g, p1, p2, s)
+    return _table_separators(g, p1, p2, s)
+
+
+def _splits(
+    comps: Iterable[int], m1: int, m2: int, n1: int, n2: int, s: int, need1: int, need2: int
+) -> bool:
+    """Whether the components ``comps`` of ``g - S`` can be grouped into a
+    side C with at least ``need1`` vertices of ``p1`` outside S, leaving
+    ``need2`` of ``p2`` to D; ``n1`` and ``n2`` are ``len(p1)`` and
+    ``len(p2)``, and ``m1`` and ``m2`` their masks.
+
+    A subset sum: a component with ``c1`` vertices of ``p1`` and ``c2`` of
+    ``p2`` shifts the bitset by ``c1 * w + c2``, ``w = len(p2 - S) + 1``, so
+    bit ``a * w + b`` is a side C with ``a`` and ``b`` of them outside S.
+    """
+    w = n2 - s + need2  # len(p2 - S) + 1
+    sums = 1
+    for comp in comps:
+        sums |= sums << ((comp & m1).bit_count() * w + (comp & m2).bit_count())
+    # a side C with a >= need1 (the shift) leaving D need2 (the low bits)
+    fields = ((1 << w * (n1 - s)) - 1) // ((1 << w) - 1)
+    return bool((sums >> need1 * w) & fields * ((1 << (n2 - s)) - 1))
+
+
+def _demand_separators(
+    g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
+) -> Iterator[_Separator]:
+    """The violating separators of order s for one demand, as the components
     of ``g - S`` that meet ``p1 | p2``.
 
     S is T, its part inside ``p1 | p2``, plus U outside it: ``t = len(T)``
     descending, then T and U in combination order.  U changes neither what C
     and D need nor ``(p1 | p2) - S``, so the count prefilter runs once per T;
     it implies ``t >= 2s + 2 - len(p1 | p2)``, which is exact when ``p1 ==
-    p2``.  A subset sum groups the components of ``g - S`` that meet ``p1 |
-    p2``.  One with ``c1`` vertices of ``p1`` and ``c2`` of ``p2`` shifts the
-    bitset by ``c1 * w + c2``, ``w = len(p2 - S) + 1``, so bit ``a * w + b``
-    is a side C with ``a`` and ``b`` of them outside S.
+    p2``.
     """
     masks = g.adjacency_masks
     full = (1 << g.n) - 1
@@ -228,14 +294,53 @@ def _violating_separators(
                 while left:
                     comps.append(reachable_mask(masks, left & -left, allowed))
                     left &= ~comps[-1]
-                w = len(p2) - s + need2  # len(p2 - S) + 1
-                sums = 1
-                for comp in comps:
-                    sums |= sums << ((comp & m1).bit_count() * w + (comp & m2).bit_count())
-                # a side C with a >= need1 (the shift) leaving D need2 (the low bits)
-                fields = ((1 << w * (len(p1) - s)) - 1) // ((1 << w) - 1)
-                if (sums >> need1 * w) & fields * ((1 << (len(p2) - s)) - 1):
+                if _splits(comps, m1, m2, len(p1), len(p2), s, need1, need2):
                     yield comps
+
+
+def _table_separators(
+    g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
+) -> Iterator[_Separator]:
+    """The violating separators of order s among the tight ones of ``g``
+    (:func:`_tight_separators`), as all the components of ``g - S``, after
+    the count prefilter of :func:`_demand_separators`."""
+    m1 = sum(1 << v for v in p1)
+    m2 = sum(1 << v for v in p2)
+    both = m1 | m2
+    for sep, comps in _tight_separators(g, s):
+        # C needs need1 vertices of p1 outside S, D needs need2 of p2
+        need1 = s + 1 - (m1 & sep).bit_count()
+        need2 = s + 1 - (m2 & sep).bit_count()
+        if (both & ~sep).bit_count() >= need1 + need2 and _splits(
+            comps, m1, m2, len(p1), len(p2), s, need1, need2
+        ):
+            yield comps
+
+
+@lru_cache(maxsize=4096)
+def _tight_separators(g: Graph, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each tight set S of s vertices of ``g`` (every vertex of S has
+    neighbours in at least two components of ``g - S``), in combination
+    order, as ``(S, components of g - S)`` masks.
+
+    A vertex x of S fails at once with fewer than two neighbours outside S,
+    and otherwise by one search from one of them that stops once it has
+    reached all the others: x fails iff it does.  Components are found only
+    for tight sets.
+    """
+    masks = g.adjacency_masks
+    full = (1 << g.n) - 1
+    table = []
+    for sep in itertools.combinations([1 << v for v in range(g.n)], s):
+        smask = sum(sep)
+        allowed = full & ~smask
+        for x in sep:
+            out = masks[x.bit_length() - 1] & allowed
+            if not out & (out - 1) or not out & ~reachable_mask(masks, out & -out, allowed, out):
+                break
+        else:
+            table.append((smask, tuple(c for c, _ in component_masks(masks, allowed))))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -265,7 +370,7 @@ def max_k_connected_subset(g: Graph, a: Iterable[int], k: int) -> MaxKConnResult
     fa = check_vertices(g, a)
     check_k(k)
     ordered = sorted(fa)
-    bad_pairs: list[frozenset[int]] = []
+    bad_pairs: list[int] = []  # z1 | z2 of each failed pair, as masks
     sizes = range(len(fa), k - 1, -1)
     candidates = itertools.chain.from_iterable(itertools.combinations(ordered, n) for n in sizes)
     for examined, cand in enumerate(candidates, 1):
@@ -273,13 +378,13 @@ def max_k_connected_subset(g: Graph, a: Iterable[int], k: int) -> MaxKConnResult
             raise SizeGuardError(
                 f"max_k_connected_subset examined more than _MAX_CANDIDATES = {_MAX_CANDIDATES} sets"
             )
+        if not all(map((~_mask_of(cand)).__and__, bad_pairs)):
+            continue  # a failed pair lies inside the candidate
         cset = frozenset(cand)
-        if any(bad <= cset for bad in bad_pairs):
-            continue
         failed = first_failed_pair(g, cset, cset, k)
         if failed is None:
             return MaxKConnResult(len(cset), cset)
-        bad_pairs.append(failed[0] | failed[1])
+        bad_pairs.append(_mask_of(failed[0] | failed[1]))
     return MaxKConnResult(k - 1, None)
 
 

@@ -226,6 +226,64 @@ def test_separator_branch_runs_no_pair_flow(monkeypatch):
         assert routes[route], routes
 
 
+def test_tight_levels_match_the_demand_enumeration():
+    """Reading only tight separators changes neither the least violating
+    order nor the violating separators of that order: the table agrees with
+    the enumeration of every separator for one demand, compared by the
+    components that meet ``p1 | p2``."""
+    rng = random.Random(2707)
+    levels = collections.Counter()
+    for g in connected_graphs(6):
+        pairs = [(g.vertex_set, g.vertex_set)]
+        pairs += [
+            tuple(frozenset(rng.sample(range(g.n), rng.randint(1, g.n))) for _ in "12") for _ in "ab"
+        ]
+        for (p1, p2), k in itertools.product(pairs, range(1, 5)):
+            both = sum(1 << v for v in p1 | p2)
+            least = None
+            for s in range(min(k, len(p1), len(p2))):
+                demand = collections.Counter(
+                    frozenset(comps) for comps in kconn._demand_separators(g, p1, p2, s)
+                )
+                table = collections.Counter(
+                    frozenset(c for c in comps if c & both)
+                    for comps in kconn._table_separators(g, p1, p2, s)
+                )
+                assert table == demand, (g, p1, p2, s)
+                if demand:
+                    least = s
+                    break
+            levels[least] += 1
+    assert len(levels) >= 4, levels
+
+
+def test_a_host_order_is_tabled_once_the_demand_admits_it_or_on_a_second_scan():
+    """With 5 vertices at stake, orders 0 and 1 admit every s-set past the
+    count bound, so their tables are built at once; order 2 needs 6, so the
+    first scan enumerates for its demand alone and the second builds the
+    table.  Both scans give the same pair."""
+    g = random_connected_graph(random.Random(27), 10, 0.3)
+    a = frozenset(range(5))
+    kconn._tight_separators.cache_clear()
+    first = kconn.first_failed_pair(g, a, a, 3)
+    assert kconn._tight_separators.cache_info().misses == 2
+    assert kconn.first_failed_pair(g, a, a, 3) == first
+    info = kconn._tight_separators.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+
+
+def test_tight_separators_are_pinned():
+    """In the path 0-1-2-3-4, {1, 3} leaves {0}, {2} and {4} and is tight;
+    {0, 2} is not, because 0 has only one neighbour, and neither is {1, 2},
+    because all that 1 and 2 reach outside it is {0} and {3} respectively.
+    The table is bounded."""
+    table = dict(kconn._tight_separators(path_graph(5), 2))
+    assert table == {0b01010: (0b00001, 0b00100, 0b10000)}
+    assert dict(kconn._tight_separators(cycle_graph(4), 1)) == {}
+    assert kconn._tight_separators(cycle_graph(4), 0) == ((0, (0b1111,)),)
+    assert kconn._tight_separators.cache_info().maxsize == 4096
+
+
 def test_path_is_not_2_connected_with_deterministic_witness():
     g = path_graph(4)
     verdict = is_k_connected(g, {0, 1, 2, 3}, 2)
