@@ -36,7 +36,6 @@ alone, so each order's tight separators are found once per host
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -201,10 +200,6 @@ def _smallest_violating_order(
     return None
 
 
-# The orders at which each host was scanned once by a small demand (see _violating_separators).
-_scanned: weakref.WeakKeyDictionary[Graph, set[int]] = weakref.WeakKeyDictionary()
-
-
 def _violating_separators(
     g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
 ) -> Iterator[_Separator]:
@@ -215,18 +210,13 @@ def _violating_separators(
     The host's table of tight separators (:func:`_tight_separators`) costs
     every s-set of ``g`` once, and later scans read it almost free.  A demand
     with ``len(p1 | p2) >= 2s + 2`` passes every s-set through its count
-    bound, so it builds the table at no extra cost.  A smaller demand rules
-    most s-sets out, so the first such scan of a host at order s enumerates S
-    for itself (:func:`_demand_separators`), and a second one, as a k-lean
-    build or :func:`max_k_connected_subset` makes, builds the table.  Both
-    give the same least violating order and the same separators at it (see
-    the module docstring).
+    bound, so it reads (or builds) the table.  A smaller demand rules most
+    s-sets out, so it enumerates S for itself (:func:`_demand_separators`).
+    Both give the same least violating order and the same separators at it
+    (see the module docstring).
     """
     if 2 * s + 2 > len(p1 | p2):
-        seen = _scanned.setdefault(g, set())
-        if s not in seen:
-            seen.add(s)
-            return _demand_separators(g, p1, p2, s)
+        return _demand_separators(g, p1, p2, s)
     return _table_separators(g, p1, p2, s)
 
 

@@ -6,19 +6,23 @@ Usage: python3 tests/ab_passes.py PARENT_ROOT CHANGE_ROOT --workload W --passes 
 For each pass seed ``S .. S + N - 1`` runs each root's own
 ``perfbench/worker.py`` once, untraced, alternating which root goes first
 (the parent on even passes), in the environment ``perfbench/run.py`` gives a
-pass, after one untimed pass per root.  A pass yields ``setup_s``,
-``wall_s``, the p50 and p90 of its call latencies (nearest rank, as
-``run.py`` takes them over a run) and ``peak_rss_mb``.  For each it prints the median of the per-pass ratio change
-/ parent with a distribution-free 95 % interval for that median (order
-statistics of the ratios), and in how many passes the change read lower.
-Pairing passes on one seed cancels the drift between whole runs that
-``run.py`` pairs cannot.  The last line is one JSON object with the same
-summary and every pass's values.
+pass, after one untimed pass per root.  Every call of a pass is checked as
+``run.py`` checks it, and the first that fails stops the tool.  A pass
+yields ``setup_s``, ``wall_s``, the p50 and p90 of its call latencies
+(nearest rank, as ``run.py`` takes them over a run) and ``peak_rss_mb``.
+For each it prints the median of the per-pass ratio change / parent with a
+distribution-free 95 % interval for that median (order statistics of the
+ratios), and in how many passes the change read lower.  Pairing passes on
+one seed cancels the drift between whole runs that ``run.py`` pairs cannot.
+The last line is one JSON object with the same summary and every pass's
+values.  The checker, the pinned answers, the metric names and the
+percentile are those of ``perfbench/`` in the checkout holding this tool.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -27,12 +31,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("setup_s", "wall_s", "call_p50_ms", "call_p90_ms", "peak_rss_mb")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def percentile(sorted_xs: list[float], q: float) -> float:
-    """Nearest-rank percentile of a sorted list."""
-    return sorted_xs[max(0, math.ceil(q * len(sorted_xs)) - 1)]
+def _load(name: str):
+    """``perfbench/<name>.py`` as the module ``perfbench_<name>``, without
+    putting ``perfbench/`` on the path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_run = _load("run")
+percentile = _run.percentile
+METRICS = tuple(name for name, _ in _run.END_TO_END)
+sys.path.insert(0, str(PERFBENCH.parent / "src"))  # the checker imports kconnkit from this checkout
+_check = _load("check")
 
 
 def pass_metrics(report: dict) -> dict[str, float]:
@@ -77,8 +92,9 @@ def summary(pairs: list[tuple[dict, dict]]) -> dict[str, dict]:
 
 
 def run_worker(root: Path, workload: str, seed: int) -> dict:
-    """The report of one untraced pass of ``root``'s own worker, with
-    ``run.py``'s fixed hash seed and bytecode cache."""
+    """The report of one untraced pass of ``root``'s own worker, in the
+    environment ``run.py``'s ``run_pass`` gives a pass (built here because
+    ``run_pass`` fixes the bytecode cache to its own checkout)."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPYCACHEPREFIX=str(root / ".perfbench" / "pycache"))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run(
@@ -87,6 +103,16 @@ def run_worker(root: Path, workload: str, seed: int) -> dict:
         capture_output=True, text=True, cwd=root, env=env, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def first_problem(report: dict, expected: dict) -> str | None:
+    """The first call of ``report`` that ``run.py``'s checker rejects against
+    the pinned answers ``expected``, with its problems, or ``None``."""
+    for rec in report["calls"]:
+        problems = _check.check(rec, expected)
+        if problems:
+            return f"{rec['id']}: {'; '.join(problems)}"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,12 +127,19 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--passes must be at least 1")
     for root in (args.parent, args.change):  # untimed, so each bytecode cache is written
         run_worker(root, args.workload, args.first_seed)
+    expected = json.loads((PERFBENCH / "expected.json").read_text())[args.workload]
     pairs = []
     for i in range(args.passes):
         seed = args.first_seed + i
-        roots = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
-        got = {root: pass_metrics(run_worker(root, args.workload, seed)) for root in roots}
-        pairs.append((got[args.parent], got[args.change]))
+        got = {}  # by side, so one root given twice runs twice
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            report = run_worker(getattr(args, side), args.workload, seed)
+            problem = first_problem(report, expected)
+            if problem is not None:
+                print(f"{side} pass {seed} failed its check: {problem}", file=sys.stderr)
+                return 1
+            got[side] = pass_metrics(report)
+        pairs.append((got["parent"], got["change"]))
     result = summary(pairs)
     last = args.first_seed + args.passes - 1
     print(f"{args.workload}: {args.passes} paired passes, seeds {args.first_seed}-{last}")

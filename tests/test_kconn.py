@@ -257,19 +257,19 @@ def test_tight_levels_match_the_demand_enumeration():
     assert len(levels) >= 4, levels
 
 
-def test_a_host_order_is_tabled_once_the_demand_admits_it_or_on_a_second_scan():
+def test_a_host_order_is_tabled_only_when_the_demand_admits_it():
     """With 5 vertices at stake, orders 0 and 1 admit every s-set past the
-    count bound, so their tables are built at once; order 2 needs 6, so the
-    first scan enumerates for its demand alone and the second builds the
-    table.  Both scans give the same pair."""
+    count bound, so their tables are built at once and read again by a
+    second scan; order 2 needs 6, so each scan enumerates it for its demand
+    alone.  No pair fails, so both scans reach order 2."""
     g = random_connected_graph(random.Random(27), 10, 0.3)
     a = frozenset(range(5))
     kconn._tight_separators.cache_clear()
-    first = kconn.first_failed_pair(g, a, a, 3)
+    assert kconn.first_failed_pair(g, a, a, 3) is None
     assert kconn._tight_separators.cache_info().misses == 2
-    assert kconn.first_failed_pair(g, a, a, 3) == first
+    assert kconn.first_failed_pair(g, a, a, 3) is None
     info = kconn._tight_separators.cache_info()
-    assert (info.misses, info.hits) == (3, 2)
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_tight_separators_are_pinned():
