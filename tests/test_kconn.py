@@ -154,12 +154,13 @@ def test_failing_pair_flow_runs_once(monkeypatch):
 def test_separator_branch_runs_no_pair_flow(monkeypatch):
     """The kernel decides every pair by bitmask tests: a failing pair has
     exactly l - 1 disjoint paths, no flow runs, and both routes (the
-    separator is z1 & z2, or one of the order-s separators) and the lazy rest
-    of a level are exercised.  The cases include large sparse hosts with
-    small sets.  The kernel raises AssertionError if a violating separation
-    yields no failing pair.  On cycles and paths every pair before the
-    witness shares s vertices, so route a alone reaches the witness and the
-    rest of the level is never entered."""
+    separator is z1 & z2, or one of the order-s separators) are exercised,
+    as is the reading of the rest of a level by the first route-b pair.  The
+    cases include large sparse hosts with small sets.  The kernel raises
+    AssertionError if a violating separation yields no failing pair.  On
+    cycles and paths every pair before the witness shares s vertices, so
+    route a alone reaches the witness and the rest of the level is never
+    entered."""
     flows = []
     real_run_flow = graph_core._run_flow
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kconnkit import graph_core, lean
+from kconnkit import graph_core, kconn, lean
 from kconnkit.canon import connected_graphs
 from kconnkit.graph_core import (
     Graph,
@@ -336,9 +336,9 @@ def test_build_matches_pair_scan_builder(monkeypatch):
 
 def test_warm_verdicts_equal_cold_ones(monkeypatch):
     """Every check gives the same answer cold, with no passed demand stored,
-    as warm, after earlier checks of the same host passed pairs of supersets:
-    on the trivial decomposition of each connected graph of order 6 with k
-    descending, and on seeded built decompositions after their build."""
+    as warm, after earlier checks of the same host stored the demands they
+    passed: on the trivial decomposition of each connected graph of order 6
+    with k descending, and on seeded built decompositions after their build."""
     scans = collections.Counter()
     real = lean.first_failed_pair
 
@@ -377,9 +377,11 @@ def test_warm_verdicts_equal_cold_ones(monkeypatch):
 
 def test_passed_demands_are_not_scanned_again(monkeypatch):
     """After a build, checking the nested system its decomposition induces
-    scans no demand: the build passed them all on the same host.  A failed
-    demand is never stored, so asking it twice scans it twice.  Equal hosts
-    share their stored demands, which go with the host."""
+    scans no demand: the build passed them all on the same host.  A demand
+    is stored with its two parts unordered, so checking a decomposition with
+    its parts swapped scans nothing.  A failed demand is never stored, so
+    asking it twice scans it twice.  Equal hosts share their stored demands,
+    which go with the host."""
     scans = []
     real = lean.first_failed_pair
 
@@ -397,6 +399,15 @@ def test_passed_demands_are_not_scanned_again(monkeypatch):
         assert is_k_lean_nss(td_to_nss(g, td), k) is True
         assert scans == [], (g, k)
 
+    bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    halves = (frozenset({0, 1, 2}), frozenset({2, 3, 4}))
+    one_edge = Graph.from_edges(2, [(0, 1)])
+    del scans[:]
+    assert is_k_lean_td(bowtie, TreeDecomposition(one_edge, halves), 2) is True
+    assert len(scans) == 3
+    assert is_k_lean_td(bowtie, TreeDecomposition(one_edge, halves[::-1]), 2) is True
+    assert len(scans) == 3
+
     lean._passed.clear()
     g = path_graph(4)
     one_part = TreeDecomposition(Graph.from_edges(1), (g.vertex_set,))
@@ -409,6 +420,7 @@ def test_passed_demands_are_not_scanned_again(monkeypatch):
     assert len(scans) == 3
     assert is_k_lean_td(path_graph(4), one_part, 1) is True  # an equal host
     assert len(scans) == 3
+    kconn._tight_separators.cache_clear()  # it holds its hosts strongly
     del g
     gc.collect()
     assert len(lean._passed) == 0
