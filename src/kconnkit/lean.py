@@ -14,8 +14,11 @@ Each host graph keeps the set of demands that passed a scan, as triples
 |p1|, |p2|)``; a demand already in it passes without a scan.  The
 condition is symmetric in the two sets, so the two masks are stored in
 ascending order.  A failed demand is never stored, so every violation
-comes from a fresh scan.  The store is a weak mapping keyed by the graph:
-equal graphs share an entry, which goes when its graph does.
+comes from a fresh scan.  The store is a weak mapping keyed by the graph,
+and equal graphs share an entry.  It is weak in name only: the bounded
+caches keyed by the graph, ``graph_core._flow_net`` (every split runs
+:func:`~kconnkit.graph_core.menger`) and ``kconn._tight_separators``, hold
+their hosts strongly, so an entry lives until those caches evict its host.
 
 The builder starts from the trivial decomposition and resolves violations
 by splitting along one :func:`~kconnkit.graph_core.menger` system of the

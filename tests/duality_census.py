@@ -13,7 +13,8 @@ the optimal decomposition is a certificate for m.  The lower bound is not a
 theorem: it is observed for n <= 7 but fails on 12 cases at n = 8 (all with
 A = V, k = 3, s' = 6 and v = 3), while v <= s' held everywhere.
 
-Write the table for n <= 7 (17-23 s and 29 MB peak RSS on a 2-vCPU VM) with::
+Write the table for n <= 7 (18-20 s and 30 MB peak RSS in two runs on a
+2-vCPU VM) with::
 
     PYTHONPATH=src python tests/duality_census.py 7 > DUALITY_CENSUS.json
 """

@@ -9,26 +9,12 @@ name the benchmark uses, or changes a pinned answer, would otherwise surface
 only when the benchmark runs.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from ab_passes import PERFBENCH, _load
 from kconnkit import canon, graph_core
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name: str):
-    """``perfbench/<name>.py`` as the module ``perfbench_<name>``, without
-    putting ``perfbench/`` on the path (its dataclasses need the module
-    registered)."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_benchmark_hooks_resolve():
