@@ -23,7 +23,8 @@ with each counter that differs as ``name parent -> change`` and the ids of
 the calls that differ.  The last line is one JSON object with the same
 summary, the differences and every pass's values.  It exits 1 if a pair
 differs, a call fails its check or a worker fails (with the worker's
-stderr).  The checker, the pinned answers, the metric names and the
+stderr), and at once, naming the known workloads, on a workload with no
+pinned answers.  The checker, the pinned answers, the metric names and the
 percentile are those of ``perfbench/`` in the checkout holding this tool.
 """
 
@@ -155,7 +156,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
-    expected = json.loads((PERFBENCH / "expected.json").read_text())[args.workload]
+    pinned = json.loads((PERFBENCH / "expected.json").read_text())
+    if args.workload not in pinned:
+        print(f"unknown workload {args.workload!r}; choose from {sorted(pinned)}", file=sys.stderr)
+        return 1
+    expected = pinned[args.workload]
     pairs, differing = [], {}
     seed = args.first_seed
     try:

@@ -176,6 +176,17 @@ def test_a_failing_worker_says_why(tmp_path, capsys):
     assert captured.err == "parent pass 4 exited with 1:\nno such workload\n\n"
 
 
+def test_an_unknown_workload_names_the_known_ones(monkeypatch, capsys):
+    """As ``perfbench/run.py`` does, before any worker runs."""
+    monkeypatch.setattr(ab_passes, "run_worker", lambda root, workload, seed: pytest.fail("a worker ran"))
+    assert ab_passes.main(["parent", "change", "--workload", "nope", "--passes", "1"]) == 1
+    captured = capsys.readouterr()
+    known = sorted(json.loads((PERFBENCH / "expected.json").read_text()))
+    assert captured.out == ""
+    assert captured.err == f"unknown workload 'nope'; choose from {known}\n"
+    assert "kconn_queries" in known
+
+
 @pytest.mark.parametrize("plant", [False, True])
 def test_the_check_of_run_py_rejects_a_planted_output(plant):
     """A tiny real pass, with and without ``worker.py --plant``, which

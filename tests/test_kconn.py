@@ -13,6 +13,7 @@ from kconnkit.graph_core import (
     SizeGuardError,
     complete_bipartite_graph,
     complete_graph,
+    components,
     cycle_graph,
     path_graph,
 )
@@ -28,9 +29,12 @@ from oracles import (
     brute_is_separator,
     brute_max_disjoint_paths,
     check_star_or_path,
+    demand_separators,
     outcome,
     pair_scan_is_k_connected,
+    per_set_tight_separators,
     random_connected_graph,
+    random_graph,
 )
 
 
@@ -244,7 +248,7 @@ def test_tight_levels_match_the_demand_enumeration():
             least = None
             for s in range(min(k, len(p1), len(p2))):
                 demand = collections.Counter(
-                    frozenset(comps) for comps in kconn._demand_separators(g, p1, p2, s)
+                    frozenset(comps) for comps in demand_separators(g, p1, p2, s)
                 )
                 table = collections.Counter(
                     frozenset(c for c in comps if c & both)
@@ -258,19 +262,62 @@ def test_tight_levels_match_the_demand_enumeration():
     assert len(levels) >= 4, levels
 
 
-def test_a_host_order_is_tabled_only_when_the_demand_admits_it():
-    """With 5 vertices at stake, orders 0 and 1 admit every s-set past the
-    count bound, so their tables are built at once and read again by a
-    second scan; order 2 needs 6, so each scan enumerates it for its demand
-    alone.  No pair fails, so both scans reach order 2."""
+def test_each_order_a_scan_reaches_is_tabled_once():
+    """Every level a scan reads comes from the host's table, whatever the
+    size of the demand: no pair fails, so the first scan tables orders 0,
+    1 and 2, and a second scan reads all three from the cache."""
     g = random_connected_graph(random.Random(27), 10, 0.3)
     a = frozenset(range(5))
     kconn._tight_separators.cache_clear()
     assert kconn.first_failed_pair(g, a, a, 3) is None
-    assert kconn._tight_separators.cache_info().misses == 2
+    assert kconn._tight_separators.cache_info().misses == 3
     assert kconn.first_failed_pair(g, a, a, 3) is None
     info = kconn._tight_separators.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+    assert (info.misses, info.hits) == (3, 3)
+
+
+def test_the_table_matches_the_per_set_oracle():
+    """The search over every s-set at once builds the same table as a
+    search per set: on every connected graph with n <= 7, on seeded hosts
+    (edgeless and disconnected ones among them), and on hosts with n >= 33,
+    whose lanes span several machine words."""
+    hosts = [(g, range(5)) for g in connected_graphs(7)]
+    rng = random.Random(31)
+    hosts += [(Graph.from_edges(n), range(n + 1)) for n in (0, 1, 4)]
+    for p in (0.05, 0.2, 0.4, 0.8):
+        hosts += [(random_graph(rng, n, p), range(n + 1)) for n in range(15)]
+    hosts += [(random_connected_graph(rng, n, 0.1), range(4)) for n in (33, 40, 47)]
+    hosts += [(random_graph(rng, 36, 0.05), range(4))]
+    orders = collections.Counter()
+    for g, ss in hosts:
+        for s in ss:
+            table = kconn._tight_separators(g, s)
+            assert table == per_set_tight_separators(g, s), (g, s)
+            orders[s > 0, bool(table)] += 1
+    assert len(orders) == 3, orders  # order 0, and orders >= 1 with and without tight sets
+    assert any(len(components(g)) > 1 for g, _ in hosts)
+    assert len(kconn._lanes(47, 3)[1]) == 2  # C(47, 3) = 16,215 sets in two blocks
+
+
+def test_the_search_rules_out_every_set_with_a_connected_complement(monkeypatch):
+    """The tables alone would not show a search that rules out too little,
+    since the per-set test behind it decides exactly.  No set of at most two
+    vertices separates K(3, 12), so no set reaches the per-set test; in C6
+    only the nine 2-sets that are not edges split the cycle, and only they
+    reach it."""
+    searched = []
+    search = kconn.reachable_mask
+
+    def counted(masks, start, allowed, cover=-1):
+        searched.append(allowed)
+        return search(masks, start, allowed, cover)
+
+    monkeypatch.setattr(kconn, "reachable_mask", counted)
+    g = complete_bipartite_graph(3, 12)
+    assert [kconn._tight_separators.__wrapped__(g, s) for s in (1, 2)] == [(), ()]
+    assert searched == []
+    assert len(kconn._tight_separators.__wrapped__(cycle_graph(6), 2)) == 9
+    assert len(set(searched)) == 9
 
 
 def test_tight_separators_are_pinned():
