@@ -17,27 +17,29 @@ u of z1, in ``g - (z1 - u)``, decides every such pair of that z1; otherwise
 the order-s separators decide it (route b).  Only the witness separator of
 :func:`is_k_connected` comes from a flow.
 
-Every level is read from a per-host table that holds the tight separators
-only: S is tight when every vertex of S has neighbours in at least two
-components of ``g - S``.  At the least violating order s every violating
-separator is tight.  Let (C, D) violate with separator S, and let x in S
-have no neighbour in C - S.  Then (C - x, D) is a separation of order s - 1,
-with at least s > s - 1 vertices of ``p1`` in C - x and more than s of
-``p2`` in D, so it violates at order s - 1, against the choice of s.  So x
-has a neighbour in C - S and, by symmetry, one in D - S, which lie in
-distinct components of ``g - S``.  Below s nothing violates, so reading only
-tight sets at every order changes neither the least violating order nor the
+A level is read from a per-host table that holds the tight separators only
+(see :func:`_violating_separators` for when a scan enumerates its own): S is
+tight when every vertex of S has neighbours in at least two components of
+``g - S``.  At the least violating order s every violating separator is
+tight.  Let (C, D) violate with separator S, and let x in S have no
+neighbour in C - S.  Then (C - x, D) is a separation of order s - 1, with at
+least s > s - 1 vertices of ``p1`` in C - x and more than s of ``p2`` in D,
+so it violates at order s - 1, against the choice of s.  So x has a
+neighbour in C - S and, by symmetry, one in D - S, which lie in distinct
+components of ``g - S``.  Below s nothing violates, so reading only tight
+sets at every order changes neither the least violating order nor the
 separators of that order that route b tests.  Tightness depends on ``g``
-alone, so each order's tight separators are found once per host, by one
-enumerator (:func:`_tight_separators`).  For s >= 1 a set S with ``g - S``
-connected is not tight, since each vertex of S then has all its neighbours
-outside S in one component; one bit-parallel search over every s-set at
-once rules those sets out, and only the sets left are searched one by one.
+alone, so each order's tight separators are found once per host
+(:func:`_tight_separators`).  For s >= 1 a set S with ``g - S`` connected is
+not tight, since each vertex of S then has all its neighbours outside S in
+one component; one bit-parallel search over every s-set at once rules those
+sets out, and only the sets left are searched one by one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -115,8 +117,9 @@ def first_failed_pair(
     pair fails iff some violating separator of order s leaves no component
     meeting both ``z1 - S`` and ``z2 - S`` (route b), the rest of that level
     being enumerated, whole, by the first pair that takes route b.
-    Every level is read from the host's table of tight separators
-    (:func:`_table_separators`).  That cannot change the witness: at the
+    A level is read from the host's table of tight separators or, for a
+    small demand on a large host, enumerated for the demand alone
+    (:func:`_violating_separators`).  Neither can change the witness: at the
     least violating order every violating separator is tight (see the
     module docstring), and each pair, in its fixed order, asks only whether
     some separator of level s splits it.
@@ -126,7 +129,7 @@ def first_failed_pair(
     return None if level is None else _first_split_pair(g, p1, p2, *level)
 
 
-_Separator = Sequence[int]  # S given by the components of g - S, as masks
+_Separator = Sequence[int]  # S given by components of g - S (those meeting p1 | p2 at least), as masks
 
 
 def _first_split_pair(
@@ -187,11 +190,34 @@ def _smallest_violating_order(
     vertices of ``p1`` in C and more than s of ``p2`` in D, with the first
     such separator and the unvisited rest of level s; or ``None``."""
     for s in range(top):
-        level = _table_separators(g, p1, p2, s)
+        level = _violating_separators(g, p1, p2, s)
         first = next(level, None)
         if first is not None:
             return s, first, level
     return None
+
+
+def _violating_separators(
+    g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
+) -> Iterator[_Separator]:
+    """Each separator S of s vertices of a separation (C, D) with more than s
+    vertices of ``p1`` in C and more than s of ``p2`` in D, as components of
+    ``g - S`` (those meeting ``p1 | p2`` at least).
+
+    The host's table of tight separators (:func:`_tight_separators`) costs
+    every s-set of ``g`` once, and later scans read it almost free.  A demand
+    with ``len(p1 | p2) >= 2s + 2`` passes every s-set through its count
+    bound, and a table of at most ``_LANES`` sets is one search, so either
+    reads (or builds) the table.  Otherwise the count bound leaves the demand
+    far fewer than the C(n, s) sets of the table (on K40 with 8 vertices at
+    stake, 2,296 of 658,008 at order 5 and none at order 7), so it
+    enumerates S for itself (:func:`_demand_separators`).  Both give the
+    same least violating order and the same separators at it (see the
+    module docstring).
+    """
+    if 2 * s + 2 > len(p1 | p2) and math.comb(g.n, s) > _LANES:
+        return _demand_separators(g, p1, p2, s)
+    return _table_separators(g, p1, p2, s)
 
 
 def _splits(
@@ -215,16 +241,61 @@ def _splits(
     return bool((sums >> need1 * w) & fields * ((1 << (n2 - s)) - 1))
 
 
+def _demand_separators(
+    g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
+) -> Iterator[_Separator]:
+    """The violating separators of order s for one demand, as the components
+    of ``g - S`` that meet ``p1 | p2``.
+
+    S is T, its part inside ``p1 | p2``, plus U outside it: ``t = len(T)``
+    descending, then T and U in combination order.  U changes neither what C
+    and D need nor ``(p1 | p2) - S``, so the count prefilter runs once per T;
+    it implies ``t >= 2s + 2 - len(p1 | p2)``, which is exact when ``p1 ==
+    p2``.
+    """
+    masks = g.adjacency_masks
+    full = (1 << g.n) - 1
+    m1 = sum(1 << v for v in p1)
+    m2 = sum(1 << v for v in p2)
+    both = m1 | m2
+    bits = [1 << v for v in range(g.n)] if s else []  # s = 0 needs no lists
+    inside = [b for b in bits if b & both]
+    outside = [b for b in bits if not b & both]
+    low = max(2 * s + 2 - both.bit_count(), s - len(outside), 0)
+    for t in range(min(s, len(inside)), low - 1, -1):
+        unions = None
+        for tsep in itertools.combinations(inside, t):
+            tmask = sum(tsep)
+            rest = both & ~tmask
+            # C needs need1 vertices of p1 outside S, D needs need2 of p2
+            need1 = s + 1 - (m1 & tmask).bit_count()
+            need2 = s + 1 - (m2 & tmask).bit_count()
+            if rest.bit_count() < need1 + need2:
+                continue
+            if unions is None:
+                unions = list(map(sum, itertools.combinations(outside, s - t)))
+            for umask in unions:
+                allowed = full & ~(tmask | umask)
+                comp = reachable_mask(masks, rest & -rest, allowed, rest)  # stops at all of rest
+                if not rest & ~comp:
+                    continue  # one component: the other side has no vertex outside S
+                comps = [comp]
+                left = rest & ~comp
+                while left:
+                    comps.append(reachable_mask(masks, left & -left, allowed))
+                    left &= ~comps[-1]
+                if _splits(comps, m1, m2, len(p1), len(p2), s, need1, need2):
+                    yield comps
+
+
 def _table_separators(
     g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
 ) -> Iterator[_Separator]:
-    """Each tight separator S of order s (:func:`_tight_separators`) of a
-    separation (C, D) with more than s vertices of ``p1`` in C and more
-    than s of ``p2`` in D, as all the components of ``g - S``.  At the least
-    violating order these are all the violating separators (see the module
-    docstring).  A set S with fewer vertices of ``p1 | p2`` outside it than C
-    and D need between them is ruled out by counting alone.
-    """
+    """The violating separators of order s among the tight ones of ``g``
+    (:func:`_tight_separators`), as all the components of ``g - S``, after
+    the count prefilter of :func:`_demand_separators`: a set S with fewer
+    vertices of ``p1 | p2`` outside it than C and D need between them is
+    ruled out by counting alone."""
     m1 = sum(1 << v for v in p1)
     m2 = sum(1 << v for v in p2)
     both = m1 | m2
@@ -238,10 +309,10 @@ def _table_separators(
             yield comps
 
 
-# 4,096 (host, order) tables: since every scan reads the table, one benchmark
-# pass at seed 1901001 builds 502 on kconn_queries and 168 on lean_duality, and
-# a census of every connected graph with n <= 7 builds 3,854, so none of them
-# evicts a table.
+# 4,096 (host, order) tables: every level the benchmark reads has at most 455
+# s-sets, so every scan there reads the table, and one pass at seed 1901001
+# builds 502 on kconn_queries and 168 on lean_duality; a census of every
+# connected graph with n <= 7 builds 3,854.  None of them evicts a table.
 @lru_cache(maxsize=4096)
 def _tight_separators(g: Graph, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Each tight set S of s vertices of ``g`` (every vertex of S has
@@ -249,9 +320,11 @@ def _tight_separators(g: Graph, s: int) -> tuple[tuple[int, tuple[int, ...]], ..
     order, as ``(S, components of g - S)`` masks.
 
     For s >= 1 a set S with ``g - S`` connected is not tight (see the
-    module docstring).  One search runs over every s-set at once (lane i
-    of each block of :func:`_lanes` holds the complement of the i-th set):
-    a step ORs the neighbours of vertex v into every lane that has reached
+    module docstring).  One search runs over every s-set at once, a block
+    of at most ``_LANES`` sets at a time (lane i of a block of
+    :func:`_lane_blocks` holds the complement of its i-th set; an order
+    whose sets fit in one block reads it from :func:`_one_block_lanes`): a
+    step ORs the neighbours of vertex v into every lane that has reached
     v, and multiplying a lane's 0/1 bit by the mask of v copies that mask
     into the lane alone, with no carry.  A lane that reaches its whole
     complement from its least vertex is ruled out.  Each set left, with two
@@ -264,10 +337,11 @@ def _tight_separators(g: Graph, s: int) -> tuple[tuple[int, tuple[int, ...]], ..
     full = (1 << g.n) - 1
     if not s:
         return ((0, tuple(c for c, _ in component_masks(masks, full))),)
-    width, blocks = _lanes(g.n, s)
+    width = g.n // 8 + 1
     sets = itertools.combinations([1 << v for v in range(g.n)], s)
     table = []
-    for count, lanes in blocks:
+    one_block = math.comb(g.n, s) <= _LANES
+    for count, lanes in _one_block_lanes(g.n, s) if one_block else _lane_blocks(g.n, s):
         ones = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")  # bit 0 of each lane
         fill = ones * full
         reach = lanes & ((fill ^ lanes) + ones)  # each complement's least vertex
@@ -291,32 +365,43 @@ def _tight_separators(g: Graph, s: int) -> tuple[tuple[int, tuple[int, ...]], ..
     return tuple(table)
 
 
-# The most s-sets one block of _lanes holds, so that one search step works on
-# integers of at most 8,192 lanes (48 KiB at n = 45) whatever C(n, s) is.
-_LANES = 8192
+# The most s-sets one block of _lane_blocks holds: one search step works on
+# integers of at most 1,024 lanes (6 KiB at n = 45), and a demand that does not
+# pass every s-set through its count bound reads a table only when the host's
+# s-sets fit in one block.  With blocks of 1,024 to 16,384 sets,
+# is_k_connected(complete_bipartite_graph(5, 40), V, 5), which tables 148,995
+# sets at order 4, took 0.11-0.13 s (best of three), and 0.15 s with 512.
+_LANES = 1024
 
 
-# 64 (n, s) keys: one benchmark pass at seed 1901001 asks for 26 on
-# kconn_queries (5 KB of lanes) and 14 on lean_duality, and the n <= 7 census
-# for 15.  An entry holds C(n, s) lanes of n // 8 + 1 bytes: 0.9 MB for n = 45
-# and s = 4.
-@lru_cache(maxsize=64)
-def _lanes(n: int, s: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _lane_blocks(n: int, s: int) -> Iterator[tuple[int, int]]:
     """The complements in ``0 .. n-1`` of the s-sets, in combination order,
-    as ``(width, blocks)``: lanes of ``width = n // 8 + 1`` bytes, so that a
-    lane has a spare top bit for a carry of its own, and blocks ``(count,
-    lanes)`` of at most ``_LANES`` sets each, the i-th complement of a block
-    in bytes ``i * width`` to ``(i + 1) * width - 1`` of its integer.  The
-    blocks depend on (n, s) alone and are built in time linear in their
-    size."""
+    as blocks ``(count, lanes)`` of at most ``_LANES`` sets each: the i-th
+    complement of a block in bytes ``i * width`` to ``(i + 1) * width - 1``
+    of its integer, ``width = n // 8 + 1``, so that a lane has a spare top
+    bit for a carry of its own.  Each block is built in time linear in its
+    size when it is asked for, so at most one block is held at a time."""
     width = n // 8 + 1
     full = (1 << n) - 1
     sets = itertools.combinations([1 << v for v in range(n)], s)
-    blocks = []
-    while block := list(itertools.islice(sets, _LANES)):
-        lanes = b"".join((full ^ sum(sep)).to_bytes(width, "little") for sep in block)
-        blocks.append((len(block), int.from_bytes(lanes, "little")))
-    return width, tuple(blocks)
+    while lanes := b"".join(
+        (full ^ sum(sep)).to_bytes(width, "little") for sep in itertools.islice(sets, _LANES)
+    ):
+        yield len(lanes) // width, int.from_bytes(lanes, "little")
+
+
+# 64 (n, s) keys of one block each.  For the orders 1 <= s < n that a scan
+# reaches, n <= C(n, s) <= 1,024, so a key holds at most 1,024 lanes of 129
+# bytes and the cache at most 8.1 MiB.  A small block's lanes cost about as
+# much to build as to search, and many hosts share (n, s): building them per
+# table read kconn_queries call_p50_ms 1.37 times as high over 20 paired
+# passes.  One benchmark pass at seed 1901001 asks for 26 keys on kconn_queries
+# and 14 on lean_duality, and the n <= 7 census for 15, so none evicts.
+@lru_cache(maxsize=64)
+def _one_block_lanes(n: int, s: int) -> tuple[tuple[int, int], ...]:
+    """The one block of :func:`_lane_blocks` when the C(n, s) sets fit in
+    one, kept for the next host with n vertices."""
+    return tuple(_lane_blocks(n, s))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from kconnkit.graph_core import (
     menger_count,
     reachable_mask,
 )
-from kconnkit.kconn import KConnVerdict, KConnWitness, PathWitness, StarWitness, _splits
+from kconnkit.kconn import KConnVerdict, KConnWitness, PathWitness, StarWitness
 from kconnkit.lean import LeanViolation
 from kconnkit.sepsys import TreeDecomposition, is_nested_pair, nss_from_separations
 
@@ -601,54 +601,6 @@ def random_nested_system(rng, g: Graph, tries: int = 12, allow_improper: bool = 
         if all(is_nested_pair(cand, t) for t in chosen):
             chosen.append(cand)
     return nss_from_separations(g, chosen)
-
-
-def demand_separators(
-    g: Graph, p1: frozenset[int], p2: frozenset[int], s: int
-) -> Iterator[list[int]]:
-    """The violating separators of order s for one demand, as the components
-    of ``g - S`` that meet ``p1 | p2``: every s-set, tight or not,
-    enumerated for this demand alone.
-
-    S is T, its part inside ``p1 | p2``, plus U outside it: ``t = len(T)``
-    descending, then T and U in combination order.  U changes neither what C
-    and D need nor ``(p1 | p2) - S``, so the count prefilter runs once per T;
-    it implies ``t >= 2s + 2 - len(p1 | p2)``, which is exact when ``p1 ==
-    p2``.
-    """
-    masks = g.adjacency_masks
-    full = (1 << g.n) - 1
-    m1 = sum(1 << v for v in p1)
-    m2 = sum(1 << v for v in p2)
-    both = m1 | m2
-    bits = [1 << v for v in range(g.n)] if s else []  # s = 0 needs no lists
-    inside = [b for b in bits if b & both]
-    outside = [b for b in bits if not b & both]
-    low = max(2 * s + 2 - both.bit_count(), s - len(outside), 0)
-    for t in range(min(s, len(inside)), low - 1, -1):
-        unions = None
-        for tsep in itertools.combinations(inside, t):
-            tmask = sum(tsep)
-            rest = both & ~tmask
-            # C needs need1 vertices of p1 outside S, D needs need2 of p2
-            need1 = s + 1 - (m1 & tmask).bit_count()
-            need2 = s + 1 - (m2 & tmask).bit_count()
-            if rest.bit_count() < need1 + need2:
-                continue
-            if unions is None:
-                unions = list(map(sum, itertools.combinations(outside, s - t)))
-            for umask in unions:
-                allowed = full & ~(tmask | umask)
-                comp = reachable_mask(masks, rest & -rest, allowed, rest)  # stops at all of rest
-                if not rest & ~comp:
-                    continue  # one component: the other side has no vertex outside S
-                comps = [comp]
-                left = rest & ~comp
-                while left:
-                    comps.append(reachable_mask(masks, left & -left, allowed))
-                    left &= ~comps[-1]
-                if _splits(comps, m1, m2, len(p1), len(p2), s, need1, need2):
-                    yield comps
 
 
 def per_set_tight_separators(g: Graph, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,6 @@ from oracles import (
     brute_is_separator,
     brute_max_disjoint_paths,
     check_star_or_path,
-    demand_separators,
     outcome,
     pair_scan_is_k_connected,
     per_set_tight_separators,
@@ -248,7 +248,7 @@ def test_tight_levels_match_the_demand_enumeration():
             least = None
             for s in range(min(k, len(p1), len(p2))):
                 demand = collections.Counter(
-                    frozenset(comps) for comps in demand_separators(g, p1, p2, s)
+                    frozenset(comps) for comps in kconn._demand_separators(g, p1, p2, s)
                 )
                 table = collections.Counter(
                     frozenset(c for c in comps if c & both)
@@ -263,9 +263,10 @@ def test_tight_levels_match_the_demand_enumeration():
 
 
 def test_each_order_a_scan_reaches_is_tabled_once():
-    """Every level a scan reads comes from the host's table, whatever the
-    size of the demand: no pair fails, so the first scan tables orders 0,
-    1 and 2, and a second scan reads all three from the cache."""
+    """On a host whose s-sets fit in one block every level a scan reads
+    comes from the host's table, whatever the size of the demand: no pair
+    fails, so the first scan tables orders 0, 1 and 2, and a second scan
+    reads all three from the cache."""
     g = random_connected_graph(random.Random(27), 10, 0.3)
     a = frozenset(range(5))
     kconn._tight_separators.cache_clear()
@@ -274,6 +275,18 @@ def test_each_order_a_scan_reaches_is_tabled_once():
     assert kconn.first_failed_pair(g, a, a, 3) is None
     info = kconn._tight_separators.cache_info()
     assert (info.misses, info.hits) == (3, 3)
+
+
+def test_a_small_demand_on_a_large_host_enumerates_its_own_levels():
+    """K40 has C(40, 7) = 18,643,560 sets of 7 vertices, and a table of
+    them would cost every one.  With 8 vertices at stake, order 3 is the
+    last that passes every s-set through the count bound, and order 2 the
+    last whose s-sets fit in one block, so orders 0-3 are tabled and orders
+    4-7 are enumerated for the demand alone."""
+    a = frozenset(range(8))
+    kconn._tight_separators.cache_clear()
+    assert kconn.first_failed_pair(complete_graph(40), a, a, 8) is None
+    assert kconn._tight_separators.cache_info().misses == 4
 
 
 def test_the_table_matches_the_per_set_oracle():
@@ -296,7 +309,21 @@ def test_the_table_matches_the_per_set_oracle():
             orders[s > 0, bool(table)] += 1
     assert len(orders) == 3, orders  # order 0, and orders >= 1 with and without tight sets
     assert any(len(components(g)) > 1 for g, _ in hosts)
-    assert len(kconn._lanes(47, 3)[1]) == 2  # C(47, 3) = 16,215 sets in two blocks
+    assert [count for count, _ in kconn._lane_blocks(47, 3)] == [1024] * 15 + [855]  # C(47, 3) = 16,215
+
+
+def test_the_table_build_holds_one_block_of_lanes_at_a_time():
+    """The lanes of K40 at order 4 take 91,390 * 6 bytes, over 535 KiB, but
+    the build holds one block of them at a time, and a table keeps only its
+    tight sets (none here)."""
+    g = complete_graph(40)
+    tracemalloc.start()
+    try:
+        assert kconn._tight_separators.__wrapped__(g, 4) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def test_the_search_rules_out_every_set_with_a_connected_complement(monkeypatch):
